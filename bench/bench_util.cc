@@ -74,10 +74,6 @@ usage(const char *argv0, int status)
         "                     checkpoint every N records instead of\n"
         "                     at relative segment cuts (stable\n"
         "                     boundaries across --records values)\n"
-        "  --speculate        speculative segment-parallel cold\n"
-        "                     execution from stored checkpoints,\n"
-        "                     validated at every boundary (needs\n"
-        "                     --store; same results, bitwise)\n"
         "  --warmup-records N warm up exactly N records instead of\n"
         "                     50%% of the trace (keeps prefixes\n"
         "                     comparable across --records values)\n"
@@ -187,8 +183,6 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
         } else if (arg == "--checkpoint-every") {
             options.checkpointEvery = static_cast<std::size_t>(
                 numberArg(argv[0], "--checkpoint-every", value()));
-        } else if (arg == "--speculate") {
-            options.speculate = true;
         } else if (arg == "--warmup-records") {
             options.warmupRecords = static_cast<std::size_t>(
                 numberArg(argv[0], "--warmup-records", value()));
@@ -242,11 +236,10 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.storeDir = env;
     }
 
-    if ((options.segments > 1 || options.checkpointEvery > 0 ||
-         options.speculate) &&
+    if ((options.segments > 1 || options.checkpointEvery > 0) &&
         options.storeDir.empty()) {
         std::fprintf(stderr,
-                     "%s: --segments/--checkpoint-every/--speculate "
+                     "%s: --segments/--checkpoint-every "
                      "need a --store to keep checkpoints in\n",
                      argv[0]);
         std::exit(1);
@@ -291,7 +284,6 @@ benchPlan(const BenchOptions &options, bool enable_timing,
     plan.batch = options.batch;
     plan.segments = options.segments;
     plan.checkpointEvery = options.checkpointEvery;
-    plan.speculate = options.speculate;
     plan.heartbeatSeconds = options.progressSeconds;
     plan.unitGranularity = options.unitGranularity;
     if (!options.planOutPath.empty()) {
@@ -488,9 +480,7 @@ storeStatsLine(const MetricsSnapshot &snap)
         "baselineSims=%llu baselineHits=%llu "
         "engineSims=%llu resultHits=%llu resultMisses=%llu "
         "batchedSims=%llu resumedSims=%llu "
-        "skippedRecords=%llu checkpointsWritten=%llu "
-        "speculativeSims=%llu specCommits=%llu "
-        "specMispredicts=%llu",
+        "skippedRecords=%llu checkpointsWritten=%llu",
         counter("driver.trace.generated"),
         counter("store.trace.hit"),
         counter("driver.cell.baseline"),
@@ -501,10 +491,7 @@ storeStatsLine(const MetricsSnapshot &snap)
         counter("driver.cell.batched"),
         counter("driver.cell.resumed"),
         counter("ckpt.resume.skipped_records"),
-        counter("ckpt.written"),
-        counter("driver.cell.speculative"),
-        counter("ckpt.speculate.commit"),
-        counter("ckpt.speculate.mispredict"));
+        counter("ckpt.written"));
     return line;
 }
 
@@ -601,7 +588,6 @@ BenchObsSession::finish()
         add("segments", std::to_string(options_.segments));
         add("checkpoint_every",
             std::to_string(options_.checkpointEvery));
-        add("speculate", options_.speculate ? "1" : "0");
         add("warmup_records",
             std::to_string(options_.warmupRecords));
         add("unit_granularity",

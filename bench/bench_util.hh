@@ -10,7 +10,7 @@
  *         [--workloads a,b,c] [--engines x,y]
  *         [--store DIR] [--no-store] [--json FILE]
  *         [--batch] [--no-batch]
- *         [--segments K] [--checkpoint-every N] [--speculate]
+ *         [--segments K] [--checkpoint-every N]
  *         [--warmup-records N] [--plan-out FILE] [--list] [--help]
  *
  * The bare positional `records` argument is the historical interface
@@ -35,15 +35,6 @@
  * absolutely (instead of the 50% fraction), which keeps the prefix
  * identical across record counts; results stay bitwise identical to
  * an unsegmented run either way.
- *
- * `--speculate` (requires a store) turns stored checkpoints — even
- * stale ones from shorter, different-seed or cross-warmup runs —
- * into speculative segment-parallel execution: cold cells split at
- * stored boundaries, run every segment concurrently, validate each
- * boundary by byte-comparing re-executed state against the stored
- * blob, and roll back to sequential re-execution on mismatch.
- * Results stay bitwise identical to a continuous run either way;
- * speculation trades CPU for wall-clock on multi-core hosts.
  */
 
 #ifndef STEMS_BENCH_BENCH_UTIL_HH
@@ -89,9 +80,6 @@ struct BenchOptions
     /// Segmented execution: absolute checkpoint interval (0 = off;
     /// wins over `segments` when both are set).
     std::size_t checkpointEvery = 0;
-    /// Speculative segment-parallel cold execution from stored
-    /// checkpoints (--speculate; requires a store).
-    bool speculate = false;
     /// Absolute warmup-record override (0 = 50% fraction).
     std::size_t warmupRecords = 0;
     /// Distributed work-unit granularity (--unit-granularity;
@@ -127,7 +115,7 @@ BenchOptions parseBenchOptions(int argc, char **argv,
  * THE one place that maps the bench CLI onto a declarative
  * SweepPlan: trace knobs (records/seed/warmup), timing mode, and
  * the whole execution policy (jobs/batch/segments/checkpoint/
- * speculate/heartbeat) come from `options`; the workload and engine
+ * heartbeat) come from `options`; the workload and engine
  * columns are the bench's resolved selections. When --plan-out was
  * given, the canonical plan JSON is written as a side effect (note
  * on stderr), so every bench invocation can dump the exact plan it

@@ -61,8 +61,8 @@ RegionMissOrderBuffer::saveState(StateWriter &w) const
         sw.u32(e.pc16);
         sw.u8(e.delta);
     });
-    // Key-sorted: blob bytes must depend only on logical state so
-    // speculative boundary validation can byte-compare checkpoints.
+    // Key-sorted: blob bytes must depend only on logical state, not
+    // on the unordered_map's insertion history (kCheckpointVersion).
     std::vector<std::pair<Addr, Position>> entries(index_.begin(),
                                                    index_.end());
     std::sort(entries.begin(), entries.end(),

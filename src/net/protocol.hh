@@ -60,8 +60,9 @@ namespace stems {
 
 /** Bumped on any wire-visible change; kHello carries it.
  *  v2: session ids, Resume/ResumeAck, tagged multi-granularity
- *  units with a prefetch hint. */
-inline constexpr std::uint32_t kNetProtocolVersion = 2;
+ *  units with a prefetch hint.
+ *  v3: kMsgPlan carries the stems-sweep-plan-v2 schema. */
+inline constexpr std::uint32_t kNetProtocolVersion = 3;
 
 /** Frame types (net/frame.hh `type` field). */
 enum NetMsg : std::uint32_t

@@ -219,8 +219,8 @@ TmsPrefetcher::saveState(StateWriter &w) const
     w.u64(streamsStarted_);
     buffer_.saveState(
         w, [](StateWriter &sw, const Addr &a) { sw.u64(a); });
-    // Key-sorted: blob bytes must depend only on logical state so
-    // speculative boundary validation can byte-compare checkpoints.
+    // Key-sorted: blob bytes must depend only on logical state, not
+    // on the unordered_map's insertion history (kCheckpointVersion).
     std::vector<std::pair<Addr, Position>> entries(index_.begin(),
                                                    index_.end());
     std::sort(entries.begin(), entries.end(),

@@ -18,7 +18,7 @@
  * This is the single-pass, multi-consumer structure trace-driven
  * simulators use to evaluate many configurations per trace read; the
  * ExperimentDriver uses it to run a workload's baseline, stride and
- * engine cells in one traversal (see sim/driver.hh `setBatching`).
+ * engine cells in one traversal (see SweepPlan::batch).
  */
 
 #ifndef STEMS_SIM_BATCH_SIM_HH
@@ -112,9 +112,10 @@ class BatchSimulator
      * records before the start are skipped (the simulator must hold
      * the matching checkpointed state, as with setLaneStart) and
      * records at or past the end are never stepped. Ranges are the
-     * substrate of speculative segment execution: each segment is a
-     * lane over one slice of the trace, advanced by runSegments().
-     * An end past the trace length is clamped to it.
+     * substrate of segment execution (distributed segment units):
+     * each segment is a lane over one slice of the trace, advanced
+     * by runSegments(). An end past the trace length is clamped to
+     * it.
      */
     void setLaneRange(std::size_t lane, std::size_t start_index,
                       std::size_t end_index);
@@ -126,8 +127,8 @@ class BatchSimulator
      * lanes_ ranges may be disjoint trace slices — the per-chunk
      * lane-major traversal of run() would serialize those — and NO
      * lane is finish()ed: the caller owns segment finalization,
-     * because a speculative segment's end state must be captured
-     * pre-finish and may be discarded. The lane-end callback fires
+     * because a segment's end state is a checkpoint, captured
+     * pre-finish, not a final result. The lane-end callback fires
      * for each lane when it reaches its end index (after stepping
      * records [start, end), before the warmup-flip check of record
      * `end` — the checkpoint convention). Call at most once.

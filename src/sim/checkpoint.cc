@@ -124,29 +124,4 @@ decodeCheckpoint(const std::vector<std::uint8_t> &blob,
     return true;
 }
 
-std::uint64_t
-checkpointStateDigest(const std::vector<std::uint8_t> &blob)
-{
-    if (!checkpointValid(blob))
-        return 0;
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-    for (std::size_t i = kHeaderBytes; i < blob.size(); ++i) {
-        h ^= blob[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-bool
-checkpointStateEquals(const std::vector<std::uint8_t> &a,
-                      const std::vector<std::uint8_t> &b)
-{
-    if (!checkpointValid(a) || !checkpointValid(b))
-        return false;
-    if (a.size() != b.size())
-        return false;
-    return std::memcmp(a.data() + kHeaderBytes, b.data() + kHeaderBytes,
-                       a.size() - kHeaderBytes) == 0;
-}
-
 } // namespace stems

@@ -66,10 +66,11 @@ std::vector<std::size_t> checkpointBounds(std::size_t trace_size,
  *
  * v2: container serialization is key-canonical (unordered_map state
  * is emitted key-sorted), making the payload a pure function of
- * logical simulator state. Speculative segment execution depends on
- * this: boundary validation byte-compares a live re-executed state
- * against a stored blob, so two simulators in the same logical state
- * must always serialize to identical bytes.
+ * logical simulator state: two simulators in the same logical state
+ * always serialize to identical bytes, so a blob written by a
+ * resumed run equals the one a continuous run writes at the same
+ * boundary, and decode -> re-encode is byte-identical
+ * (tests/checkpoint_test.cc pins both).
  */
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
@@ -112,24 +113,6 @@ bool checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
 bool decodeCheckpoint(const std::vector<std::uint8_t> &blob,
                       PrefetchSimulator &sim,
                       std::uint64_t *index_out = nullptr);
-
-/**
- * FNV-1a digest of a valid blob's payload (the serialized simulator
- * state, excluding the frame header). Two blobs taken at the same
- * boundary digest equal iff the captured states serialize
- * identically. @return 0 when the framing is invalid.
- */
-std::uint64_t checkpointStateDigest(const std::vector<std::uint8_t> &blob);
-
-/**
- * Byte equality of two valid blobs' payloads — the speculative
- * boundary-validation predicate. Compares state only (the frame
- * record index is not part of the comparison, though callers always
- * compare blobs taken at the same boundary). @return false when
- * either framing is invalid.
- */
-bool checkpointStateEquals(const std::vector<std::uint8_t> &a,
-                           const std::vector<std::uint8_t> &b);
 
 } // namespace stems
 

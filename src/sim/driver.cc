@@ -17,7 +17,6 @@
 #include "prefetch/engine_registry.hh"
 #include "sim/batch_sim.hh"
 #include "sim/checkpoint.hh"
-#include "sim/speculate.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "trace/trace_io.hh"
@@ -38,7 +37,6 @@ struct DriverMetrics
     Counter &traceGenerated;
     Counter &cellBaseline, &cellEngine, &cellBatched, &cellResumed;
     Counter &ckptSkippedRecords, &ckptWritten;
-    Counter &cellSpeculative, &speculateCommit, &speculateMispredict;
     LatencyHistogram &engineNs, &baselineNs;
 
     DriverMetrics()
@@ -51,12 +49,6 @@ struct DriverMetrics
           ckptSkippedRecords(
               registry().counter("ckpt.resume.skipped_records")),
           ckptWritten(registry().counter("ckpt.written")),
-          cellSpeculative(
-              registry().counter("driver.cell.speculative")),
-          speculateCommit(
-              registry().counter("ckpt.speculate.commit")),
-          speculateMispredict(
-              registry().counter("ckpt.speculate.mispredict")),
           engineNs(registry().histogram("driver.cell.engine_ns")),
           baselineNs(registry().histogram("driver.cell.baseline_ns"))
     {
@@ -233,7 +225,6 @@ ExperimentDriver::applyPlan(const SweepPlan &plan)
     segments_ = plan.segments == 0 ? 1 : plan.segments;
     checkpointEvery_ =
         static_cast<std::size_t>(plan.checkpointEvery);
-    speculate_ = plan.speculate;
     heartbeatSeconds_ =
         plan.heartbeatSeconds < 0 ? 0.0 : plan.heartbeatSeconds;
     // Refresh the store-context digests for the new configuration.
@@ -619,160 +610,17 @@ ExperimentDriver::runCells(
     };
 
     /**
-     * Speculative path for one cold cell (sim/speculate.hh): stored
-     * checkpoints at interior indices — on-key or not; a stale,
-     * cross-seed or cross-warmup state is a usable *prediction*, not
-     * a trusted prefix — split the trace into segments that run as
-     * parallel lanes with byte-compare validation at every boundary.
-     * Only validated states are written back, under the on-key state
-     * digest for this trace, so a committed stale entry becomes a
-     * trusted one for future runs. @return true when the cell was
-     * fully handled (stats collected); false falls back to the
-     * normal cold path below.
-     */
-    auto speculate_cell =
-        [&](const Cell &cell, WorkloadShard &shard,
-            std::map<std::size_t, std::uint64_t> &prefix_memo,
-            unsigned lane_jobs) -> bool {
-        if (shard.trace.size() < 2)
-            return false;
-        const std::uint64_t spec = cell_ckpt_spec(cell, shard);
-        const auto stored =
-            store_->listCheckpoints(spec, ckptConfigDigest_);
-        std::vector<std::size_t> indices;
-        for (const StoredCheckpointKey &key : stored) {
-            if (key.index == 0 || key.index >= shard.trace.size())
-                continue; // can't seed a runnable segment
-            std::size_t idx = static_cast<std::size_t>(key.index);
-            if (indices.empty() || indices.back() != idx)
-                indices.push_back(idx);
-        }
-        if (indices.empty())
-            return false;
-        std::vector<std::size_t> missing;
-        for (std::size_t idx : indices)
-            if (prefix_memo.find(idx) == prefix_memo.end())
-                missing.push_back(idx);
-        if (!missing.empty()) {
-            auto computed =
-                tracePrefixDigests(shard.trace, missing);
-            for (std::size_t m = 0; m < missing.size(); ++m)
-                prefix_memo[missing[m]] = computed[m];
-        }
-        // One seed per index: prefer the on-key state (it predicts
-        // this exact run and will commit), else the smallest digest
-        // so candidate choice is deterministic across runs.
-        std::vector<SpeculationSeed> seeds;
-        for (std::size_t idx : indices) {
-            const std::uint64_t on_key = ckpt_state_digest(
-                prefix_memo[idx], idx, shard.warmup);
-            std::uint64_t chosen = 0;
-            bool have = false;
-            for (const StoredCheckpointKey &key : stored) {
-                if (key.index != idx)
-                    continue;
-                if (key.stateDigest == on_key) {
-                    chosen = on_key;
-                    have = true;
-                    break;
-                }
-                if (!have) {
-                    chosen = key.stateDigest;
-                    have = true;
-                }
-            }
-            auto blob = store_->loadCheckpoint(
-                spec, ckptConfigDigest_, idx, chosen);
-            if (!blob)
-                continue;
-            seeds.push_back(
-                SpeculationSeed{idx, std::move(*blob)});
-        }
-        if (seeds.empty())
-            return false;
-
-        ScopedSpan spec_span("driver.speculate", "ckpt");
-        if (spec_span.active()) {
-            spec_span.arg("workload", shard.workload->name());
-            spec_span.arg("cell", cell_label(cell));
-        }
-        const auto start = std::chrono::steady_clock::now();
-        auto outcome = runSpeculativeCell(
-            sim_params, shard.warmup, shard.trace,
-            [&] { return make_cell_engine(cell, shard); },
-            std::move(seeds), lane_jobs);
-        if (!outcome)
-            return false; // no seed decoded; run cold as usual
-        const auto ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        (cell.kind == Cell::kEngine ? driverMetrics().engineNs
-                                    : driverMetrics().baselineNs)
-            .record(ns);
-        if (spec_span.active()) {
-            spec_span.arg("segments", static_cast<std::uint64_t>(
-                                          outcome->segments));
-            spec_span.arg("commits", static_cast<std::uint64_t>(
-                                         outcome->commits));
-            spec_span.arg("mispredicts",
-                          static_cast<std::uint64_t>(
-                              outcome->mispredicts));
-            spec_span.arg("replayed_records",
-                          static_cast<std::uint64_t>(
-                              outcome->replayedRecords));
-        }
-        speculativeCells_.fetch_add(1);
-        speculativeCommits_.fetch_add(outcome->commits);
-        speculativeMispredicts_.fetch_add(outcome->mispredicts);
-        driverMetrics().cellSpeculative.add();
-        driverMetrics().speculateCommit.add(outcome->commits);
-        driverMetrics().speculateMispredict.add(
-            outcome->mispredicts);
-
-        for (auto &validated : outcome->validated) {
-            auto it = prefix_memo.find(validated.first);
-            if (it == prefix_memo.end()) {
-                auto computed = tracePrefixDigests(
-                    shard.trace,
-                    std::vector<std::size_t>{validated.first});
-                it = prefix_memo
-                         .emplace(validated.first, computed[0])
-                         .first;
-            }
-            StoredCheckpointMeta meta;
-            meta.workload = shard.workload->name();
-            meta.engine = cell_label(cell);
-            meta.index = validated.first;
-            meta.warmup = shard.warmup;
-            if (store_->putCheckpoint(
-                    spec, ckptConfigDigest_, validated.first,
-                    ckpt_state_digest(it->second, validated.first,
-                                      shard.warmup),
-                    validated.second, meta)) {
-                checkpointsWritten_.fetch_add(1);
-                driverMetrics().ckptWritten.add();
-            }
-        }
-        collect_cell(cell, shard, outcome->stats,
-                     outcome->engine.get());
-        return true;
-    };
-
-    /**
      * Run a group of one workload's cells as lanes of one
      * BatchSimulator pass (the whole shard when batching, a single
      * cell otherwise — a 1-lane pass is bitwise identical to a
      * standalone PrefetchSimulator::run, which sim_test pins). When
-     * speculation is on, each cell with stored boundary candidates
-     * is peeled off into the segment-parallel path first. When
-     * segmented execution is on, each remaining lane resumes from
+     * segmented execution is on, each lane resumes from
      * the newest stored checkpoint whose trace prefix, warmup
      * boundary and engine spec match, and writes a checkpoint at
      * every boundary it crosses.
      */
     auto execute_cells = [&](WorkloadShard &shard,
-                             std::vector<Cell> group,
+                             const std::vector<Cell> &group,
                              unsigned lane_jobs) {
         ScopedSpan span("cells.execute", "driver");
         if (span.active()) {
@@ -783,25 +631,14 @@ ExperimentDriver::runCells(
                      static_cast<std::uint64_t>(lane_jobs));
         }
         // Trace-prefix digests are a property of the trace, not a
-        // lane: one memo serves the speculative and trusted-resume
-        // paths alike (on-schedule indices are pre-seeded from
-        // materialize_shard's boundary pass).
+        // lane: one memo serves every lane's resume probe (on-schedule
+        // indices are pre-seeded from materialize_shard's boundary
+        // pass).
         std::map<std::size_t, std::uint64_t> prefix_memo;
         for (std::size_t b = 0; b < shard.ckptBounds.size(); ++b)
             prefix_memo[shard.ckptBounds[b]] =
                 shard.ckptBoundPrefixes[b];
 
-        if (speculate_ && store_ && store_->usable()) {
-            std::vector<Cell> rest;
-            rest.reserve(group.size());
-            for (const Cell &cell : group)
-                if (!speculate_cell(cell, shard, prefix_memo,
-                                    lane_jobs))
-                    rest.push_back(cell);
-            group = std::move(rest);
-            if (group.empty())
-                return;
-        }
         BatchSimulator sim;
         std::vector<std::unique_ptr<Prefetcher>> lane_engines;
         std::vector<std::uint64_t> lane_spec(group.size(), 0);

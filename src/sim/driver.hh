@@ -9,9 +9,9 @@
  *  - by default *batches* each workload's cold cells: one
  *    BatchSimulator pass traverses the trace once and advances the
  *    baseline, stride and every engine cell together instead of
- *    re-iterating the trace per cell (setBatching(false) restores
- *    the one-task-per-cell dispatch; results are bitwise identical
- *    either way),
+ *    re-iterating the trace per cell (a plan with `batch` off
+ *    restores the one-task-per-cell dispatch; results are bitwise
+ *    identical either way),
  *  - caches the no-prefetch and stride baselines per workload across
  *    run() calls instead of recomputing them per call,
  *  - releases each trace as soon as its last cell completes, bounding
@@ -132,7 +132,7 @@ class ExperimentDriver
      * knobs — and return results merged in the plan's (workload,
      * engine) order. Equivalent to applyPlan(plan) followed by
      * run(plan.workloads, planEngineSpecs(plan)); bitwise identical
-     * for any jobs/batch/segments/speculate policy.
+     * for any jobs/batch/segments/checkpointEvery policy.
      */
     std::vector<WorkloadResult> run(const SweepPlan &plan);
 
@@ -242,102 +242,6 @@ class ExperimentDriver
         return store_;
     }
 
-    // ------------------------------------------------------------
-    // Execution-policy setters. DEPRECATED shims: new code should
-    // describe the whole sweep as a SweepPlan and call run(plan) /
-    // applyPlan(plan) instead of mutating the driver field by
-    // field — a plan can be serialized, diffed, digested and
-    // shipped to a worker; a setter chain cannot. Each setter
-    // remains exactly equivalent to the matching plan field.
-    // ------------------------------------------------------------
-
-    /**
-     * Enable/disable batched execution (default: enabled). Batched,
-     * each workload's schedulable cells run as one task that
-     * traverses the trace once through a BatchSimulator; unbatched,
-     * every cell is its own task re-iterating the shared trace.
-     * Purely an execution-strategy knob: results are bitwise
-     * identical either way (tests/driver_test.cc pins this), so it
-     * does not participate in any cache key.
-     */
-    void setBatching(bool on) { batching_ = on; }
-
-    /** Whether batched execution is enabled. */
-    bool batching() const { return batching_; }
-
-    /**
-     * Segmented execution: cut every cell's trace into `k` segments
-     * and persist a simulator checkpoint at each segment boundary
-     * (and at the trace end). Requires an attached store; 1 (the
-     * default) disables segmentation. Each cold cell first resumes
-     * from the newest stored checkpoint its trace prefix matches, so
-     * re-runs — including runs extended to more --records over the
-     * same workload/seed — only simulate the unseen suffix. Like the
-     * batch toggle this is pure execution strategy: results are
-     * bitwise identical to a continuous run (tests/checkpoint_test.cc
-     * pins this per engine across {jobs} x {batching}), so it does
-     * not participate in any result-cache key.
-     */
-    void setSegments(unsigned k) { segments_ = k == 0 ? 1 : k; }
-
-    /** Configured segment count (1 = off). */
-    unsigned segments() const { return segments_; }
-
-    /**
-     * Alternative checkpoint granularity: a boundary every `records`
-     * records (plus the trace end), independent of the trace length.
-     * Takes precedence over setSegments when nonzero. Stable
-     * absolute boundaries are what let an extended-records re-run
-     * find the shorter run's checkpoints.
-     */
-    void setCheckpointEvery(std::size_t records)
-    {
-        checkpointEvery_ = records;
-    }
-
-    /** Configured checkpoint interval (0 = off). */
-    std::size_t checkpointEvery() const { return checkpointEvery_; }
-
-    /**
-     * Progress heartbeats for long sweeps: while a sweep's dispatch
-     * is in flight, a monitor thread logs one line every `seconds` —
-     * cells done/total and the record-step rate since the previous
-     * beat — to stderr (via logInfo). 0 (the default) disables.
-     * Purely observational: heartbeats never touch stdout, and
-     * results are bitwise identical with them on or off.
-     */
-    void setHeartbeatSeconds(double seconds)
-    {
-        heartbeatSeconds_ = seconds < 0 ? 0.0 : seconds;
-    }
-
-    /** Configured heartbeat interval (0 = off). */
-    double heartbeatSeconds() const { return heartbeatSeconds_; }
-
-    /**
-     * Speculative segment-parallel cold execution (requires an
-     * attached store). A cold cell with stored interior checkpoints
-     * — from a shorter, stale, different-seed, or cross-warmup run —
-     * splits its trace at those boundaries and runs every segment as
-     * a parallel lane: segment k+1 starts from the stored blob while
-     * segment k re-executes, and each boundary is validated by
-     * byte-comparing the live re-encoded state against the seed
-     * (sim/speculate.hh). Stored state is *distrusted* by design:
-     * unlike the trusted prefix-digest resume of segmented runs,
-     * speculation re-executes every record, trading CPU for
-     * wall-clock (all segments advance concurrently; a mispredicted
-     * boundary rolls back to sequential re-execution of the
-     * suffix). Results are bitwise identical to a continuous run in
-     * both the all-commit and mispredict paths
-     * (tests/speculation_test.cc pins this), so like batching it
-     * joins no cache key. Only boundary states proven correct are
-     * ever written back to the store.
-     */
-    void setSpeculate(bool on) { speculate_ = on; }
-
-    /** Whether speculative execution is enabled. */
-    bool speculate() const { return speculate_; }
-
     /** Baseline simulations actually executed (cache diagnostics). */
     std::uint64_t baselineRuns() const { return baselineRuns_; }
 
@@ -380,31 +284,6 @@ class ExperimentDriver
     checkpointsWritten() const
     {
         return checkpointsWritten_.load();
-    }
-
-    /** Cells executed speculatively (segment-parallel with boundary
-     *  validation) instead of through the normal cold path. */
-    std::uint64_t
-    speculativeCells() const
-    {
-        return speculativeCells_.load();
-    }
-
-    /** Speculative segment boundaries that validated (live state
-     *  byte-matched the stored seed) and committed. */
-    std::uint64_t
-    speculativeCommits() const
-    {
-        return speculativeCommits_.load();
-    }
-
-    /** Speculative boundary mismatches: each one rolled back every
-     *  later segment and re-executed the suffix sequentially from
-     *  validated state (output identity preserved). */
-    std::uint64_t
-    speculativeMispredicts() const
-    {
-        return speculativeMispredicts_.load();
     }
 
     /** Drop the per-workload baseline cache. */
@@ -463,8 +342,9 @@ class ExperimentDriver
     std::uint64_t ckptConfigDigest_ = 0;
     std::uint64_t engineRuns_ = 0;
     std::uint64_t batchedRuns_ = 0;
+    /// Execution policy (SweepPlan semantics); applyPlan is the
+    /// only writer.
     bool batching_ = true;
-    bool speculate_ = false;
     unsigned segments_ = 1;
     std::size_t checkpointEvery_ = 0;
     double heartbeatSeconds_ = 0.0;
@@ -472,9 +352,6 @@ class ExperimentDriver
     std::atomic<std::uint64_t> resumedRuns_{0};
     std::atomic<std::uint64_t> resumedRecordsSkipped_{0};
     std::atomic<std::uint64_t> checkpointsWritten_{0};
-    std::atomic<std::uint64_t> speculativeCells_{0};
-    std::atomic<std::uint64_t> speculativeCommits_{0};
-    std::atomic<std::uint64_t> speculativeMispredicts_{0};
 };
 
 } // namespace stems

@@ -11,10 +11,11 @@ namespace {
 
 constexpr std::uint32_t kPlanTag = stateTag('S', 'W', 'P', 'L');
 constexpr std::uint32_t kPlanEndTag = stateTag('S', 'W', 'P', 'E');
-// v2 added unit_granularity; v1 streams are rejected (the service
-// already rejects cross-version peers at the Hello stage, so a
-// version skew here means something worse than an old binary).
-constexpr std::uint32_t kPlanVersion = 2;
+// v2 added unit_granularity; v3 dropped a retired policy flag. Older
+// streams are rejected (the service already rejects cross-version
+// peers at the Hello stage, so a version skew here means something
+// worse than an old binary).
+constexpr std::uint32_t kPlanVersion = 3;
 
 std::string
 u64Token(std::uint64_t v)
@@ -287,8 +288,6 @@ sweepPlanJson(const SweepPlan &plan)
     out += "\"";
     out += ",\n  \"seed\": " + u64Token(plan.seed);
     out += ",\n  \"segments\": " + u64Token(plan.segments);
-    out += ",\n  \"speculate\": ";
-    out += boolToken(plan.speculate);
     out += ",\n  \"timing\": ";
     out += boolToken(plan.timing);
     out += ",\n  \"unit_granularity\": \"";
@@ -321,17 +320,27 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
     if (root.kind != JsonValue::Kind::kObject)
         return parseFail(error, "plan must be a JSON object");
 
+    // The schema decides how every other field reads, so it is
+    // checked before any of them: an older plan fails on its schema
+    // tag, not on whichever retired field happens to come first.
+    if (!root.get("schema"))
+        return parseFail(error, "plan is missing the schema tag");
+    for (const auto &kv : root.members) {
+        if (kv.first == "schema" &&
+            (kv.second.kind != JsonValue::Kind::kString ||
+             kv.second.text != kSweepPlanSchema))
+            return parseFail(
+                error, std::string("unsupported plan schema (expected ") +
+                           kSweepPlanSchema + ")");
+    }
+
     SweepPlan out;
-    bool have_schema = false;
     for (const auto &kv : root.members) {
         const std::string &key = kv.first;
         const JsonValue &val = kv.second;
         std::uint64_t u = 0;
         if (key == "schema") {
-            if (val.kind != JsonValue::Kind::kString ||
-                val.text != kSweepPlanSchema)
-                return parseFail(error, "unsupported plan schema");
-            have_schema = true;
+            continue; // checked above
         } else if (key == "batch") {
             if (!asBool(val, out.batch))
                 return parseFail(error, "bad batch");
@@ -364,9 +373,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
             if (!asU64(val, u))
                 return parseFail(error, "bad segments");
             out.segments = static_cast<unsigned>(u);
-        } else if (key == "speculate") {
-            if (!asBool(val, out.speculate))
-                return parseFail(error, "bad speculate");
         } else if (key == "timing") {
             if (!asBool(val, out.timing))
                 return parseFail(error, "bad timing");
@@ -395,8 +401,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                              "unknown plan field '" + key + "'");
         }
     }
-    if (!have_schema)
-        return parseFail(error, "plan is missing the schema tag");
     plan = std::move(out);
     return true;
 }
@@ -430,7 +434,6 @@ encodeSweepPlan(const SweepPlan &plan)
     w.boolean(plan.batch);
     w.u32(plan.segments);
     w.u64(plan.checkpointEvery);
-    w.boolean(plan.speculate);
     w.f64(plan.heartbeatSeconds);
     w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
     w.tag(kPlanEndTag);
@@ -496,7 +499,6 @@ decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
     out.batch = r.boolean();
     out.segments = r.u32();
     out.checkpointEvery = r.u64();
-    out.speculate = r.boolean();
     out.heartbeatSeconds = r.f64();
     const std::uint8_t granularity = r.u8();
     if (granularity >

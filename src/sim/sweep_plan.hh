@@ -3,11 +3,11 @@
  * Declarative sweep description: the one value type that configures
  * an ExperimentDriver run.
  *
- * A SweepPlan captures everything the driver's former setter chain
- * (setBatching/setSegments/setCheckpointEvery/setSpeculate/
- * setHeartbeatSeconds, plus the ExperimentConfig knobs) expressed —
+ * A SweepPlan captures everything that configures a sweep —
  * workloads x engine columns, records/seed/warmup, and the execution
- * policy — as plain data. Unlike a mutated driver, a plan can be
+ * policy — as plain data; ExperimentDriver::applyPlan is the only
+ * writer of the driver's execution policy. Unlike a mutated driver,
+ * a plan can be
  * serialized, diffed, digested and handed to a remote worker: the
  * distributed sweep service (net/coord.hh, net/worker.hh) ships the
  * binary form over the wire, and `--plan-out` dumps the canonical
@@ -16,7 +16,7 @@
  * Two codecs, both canonical:
  *  - JSON (sweepPlanJson / parseSweepPlanJson): key-sorted,
  *    mini_json conventions (`%.17g` doubles, exact u64 integers),
- *    schema-tagged "stems-sweep-plan-v1". Every field is always
+ *    schema-tagged "stems-sweep-plan-v2". Every field is always
  *    emitted (unset optional engine knobs as `null`), so two plans
  *    are equal iff their JSON bytes are equal, and the parser
  *    rejects unknown fields instead of guessing.
@@ -47,7 +47,7 @@
 namespace stems {
 
 /// Canonical JSON schema tag (also the digest domain prefix).
-inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v1";
+inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v2";
 
 /**
  * One engine column of a plan: a registered engine name, the label
@@ -107,15 +107,22 @@ struct SweepPlan
     // this), so none of them joins any cache key.
     /// Worker threads (0 = hardware concurrency).
     unsigned jobs = 0;
-    /// Batched execution (one trace pass per workload).
+    /// Batched execution: one BatchSimulator pass per workload
+    /// advances all its cold cells; off = one task per cell.
     bool batch = true;
-    /// Segmented execution: segment count (1 = off).
+    /// Segmented execution: segment count (1 = off). Needs a store;
+    /// every cell checkpoints at each segment boundary and first
+    /// resumes from the newest stored checkpoint its trace prefix,
+    /// warmup boundary and engine spec match, so a re-run (or a run
+    /// extended to more records) simulates only the unseen suffix.
     unsigned segments = 1;
     /// Absolute checkpoint interval (0 = off; wins over segments).
+    /// Boundaries independent of the trace length are what let an
+    /// extended-records run find a shorter run's checkpoints.
     std::uint64_t checkpointEvery = 0;
-    /// Speculative segment-parallel cold execution.
-    bool speculate = false;
-    /// Progress-heartbeat interval in seconds (0 = off).
+    /// Progress-heartbeat interval in seconds (0 = off): a monitor
+    /// thread logs cells done/total and the record-step rate to
+    /// stderr while a sweep's dispatch is in flight.
     double heartbeatSeconds = 0.0;
     /// Distributed work-unit decomposition (net/units.hh).
     UnitGranularity unitGranularity = UnitGranularity::kWorkload;

@@ -306,10 +306,11 @@ class TraceStore
     /**
      * Every stored (record index, state digest) checkpoint key for a
      * (spec, config) pair, sorted by (index, stateDigest). Unlike
-     * listCheckpointIndices this exposes the state digests, letting
-     * speculative execution enumerate off-key candidates (stale or
-     * foreign-run states) it will validate at segment boundaries
-     * instead of trusting. Malformed filenames are skipped; blob
+     * listCheckpointIndices this exposes the state digests, so a
+     * caller can tell an on-key checkpoint from off-key ones (stale
+     * or foreign-run states) at the same index without loading any
+     * blob — the distributed coordinator's trusted-boundary probe
+     * (net/units.cc). Malformed filenames are skipped; blob
      * integrity is still only checked by loadCheckpoint.
      */
     std::vector<StoredCheckpointKey>

@@ -10,13 +10,17 @@
  * across warmup boundaries, stream states and generation lifetimes
  * rather than at one hand-picked index.
  *
+ * Checkpoint payloads are also a pure function of logical state:
+ * decode -> re-encode reproduces a blob byte for byte.
+ *
  * On top of that sit the driver-level guarantees: segmented
  * execution (checkpoint at every boundary, resume from the newest
  * match) is bitwise identical to a continuous run across
  * {jobs 1, 8} x {batched, unbatched} for every registered engine,
- * and re-running a sweep with more records over a warm store
+ * re-running a sweep with more records over a warm store
  * re-simulates only the new suffix (resumedRuns()/
- * resumedRecordsSkipped() diagnostics).
+ * resumedRecordsSkipped() diagnostics), and bumping an engine's
+ * state version fences off every checkpoint it stored before.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +39,7 @@
 namespace stems {
 namespace {
 
+using test::configPlan;
 using test::expectSameResults;
 using test::expectSameStats;
 using test::smallConfig;
@@ -232,6 +237,41 @@ TEST(Checkpoint, MismatchedEngineOrStructureFailsCleanly)
     EXPECT_FALSE(decodeCheckpoint(blob, wrong_timing));
 }
 
+TEST(Checkpoint, ReencodeRoundTripIsByteIdenticalForEveryEngine)
+{
+    // Checkpoint payloads are a pure function of logical state
+    // (kCheckpointVersion): decoding a blob into a fresh simulator
+    // and re-encoding must reproduce the bytes exactly. Any hidden
+    // iteration-order or history dependence in a serializer would
+    // show up here as a mismatch.
+    Trace trace = propertyTrace();
+    const std::size_t warmup = trace.size() / 3;
+    SimParams params = timedParams();
+
+    for (const std::string &name :
+         EngineRegistry::instance().names()) {
+        SCOPED_TRACE("engine " + name);
+        Rng rng(0x5EED ^ std::hash<std::string>{}(name));
+        for (int trial = 0; trial < 3; ++trial) {
+            std::size_t split =
+                1 + rng.below(static_cast<std::uint32_t>(
+                        trace.size() - 1));
+            SCOPED_TRACE("split " + std::to_string(split));
+            auto prefix_engine = makeEngine(name);
+            PrefetchSimulator prefix(params, prefix_engine.get());
+            prefix.setMeasuring(false);
+            stepSpan(prefix, trace, 0, split, warmup);
+            auto blob = encodeCheckpoint(prefix, split);
+
+            auto e = makeEngine(name);
+            PrefetchSimulator resumed(params, e.get());
+            ASSERT_TRUE(decodeCheckpoint(blob, resumed));
+            auto again = encodeCheckpoint(resumed, split);
+            EXPECT_EQ(blob, again);
+        }
+    }
+}
+
 // ---- driver-level segmented execution ----
 
 class SegmentedDriverTest : public test::TempDirTest
@@ -263,9 +303,11 @@ TEST_F(SegmentedDriverTest,
             // segmented execution path itself runs each time.
             std::string dir =
                 dir_ + "_combo" + std::to_string(combo++);
-            ExperimentDriver segmented(cfg, jobs);
-            segmented.setBatching(batch);
-            segmented.setSegments(4);
+            SweepPlan plan = configPlan(cfg, jobs);
+            plan.batch = batch;
+            plan.segments = 4;
+            ExperimentDriver segmented;
+            segmented.applyPlan(plan);
             segmented.setStore(
                 std::make_shared<TraceStore>(dir));
             auto results = segmented.run({"dss-qry17"}, engines);
@@ -295,15 +337,17 @@ TEST_F(SegmentedDriverTest, SecondSegmentedRunResumesFromCheckpoints)
         er.extra["probe"] = 1.0;
     };
 
-    ExperimentDriver first(cfg, 2);
-    first.setSegments(3);
+    SweepPlan plan = configPlan(cfg, 2);
+    plan.segments = 3;
+    ExperimentDriver first;
+    first.applyPlan(plan);
     first.setStore(std::make_shared<TraceStore>(dir_));
     auto a = first.run({"dss-qry17"}, {probed});
     EXPECT_GT(first.checkpointsWritten(), 0u);
     EXPECT_EQ(first.resumedRuns(), 0u);
 
-    ExperimentDriver second(cfg, 2);
-    second.setSegments(3);
+    ExperimentDriver second;
+    second.applyPlan(plan);
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b = second.run({"dss-qry17"}, {probed});
     // The probed cell re-executed (engineRuns counts it) but
@@ -329,8 +373,10 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
     ExperimentConfig short_cfg = smallConfig(false, 20000);
     short_cfg.warmupRecords = 8000;
 
-    ExperimentDriver first(short_cfg, 2);
-    first.setCheckpointEvery(6000);
+    SweepPlan short_plan = configPlan(short_cfg, 2);
+    short_plan.checkpointEvery = 6000;
+    ExperimentDriver first;
+    first.applyPlan(short_plan);
     first.setStore(std::make_shared<TraceStore>(dir_));
     first.run({"dss-qry17"}, engineSpecs(engines));
     EXPECT_GT(first.checkpointsWritten(), 0u);
@@ -340,8 +386,10 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
 
     ExperimentConfig long_cfg = smallConfig(false, 40000);
     long_cfg.warmupRecords = 8000;
-    ExperimentDriver extended(long_cfg, 2);
-    extended.setCheckpointEvery(6000);
+    SweepPlan long_plan = configPlan(long_cfg, 2);
+    long_plan.checkpointEvery = 6000;
+    ExperimentDriver extended;
+    extended.applyPlan(long_plan);
     extended.setStore(std::make_shared<TraceStore>(dir_));
     auto results =
         extended.run({"dss-qry17"}, engineSpecs(engines));
@@ -370,8 +418,10 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
         er.extra["probe"] = 1.0;
     };
 
-    ExperimentDriver first(cfg, 2);
-    first.setSegments(2);
+    SweepPlan plan = configPlan(cfg, 2);
+    plan.segments = 2;
+    ExperimentDriver first;
+    first.applyPlan(plan);
     first.setStore(std::make_shared<TraceStore>(dir_));
     auto a = first.run({"dss-qry17"}, {probed});
 
@@ -386,8 +436,8 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
         f.put('\x7f');
     }
 
-    ExperimentDriver second(cfg, 2);
-    second.setSegments(2);
+    ExperimentDriver second;
+    second.applyPlan(plan);
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b = second.run({"dss-qry17"}, {probed});
     EXPECT_EQ(second.resumedRuns(), 0u); // every blob rejected
@@ -403,12 +453,94 @@ TEST_F(SegmentedDriverTest, CheckpointsNeedAStore)
     ExperimentDriver plain(cfg, 2);
     auto expected = plain.run({"dss-qry17"}, engines);
 
-    ExperimentDriver segmented(cfg, 2);
-    segmented.setSegments(4);
+    SweepPlan plan = configPlan(cfg, 2);
+    plan.segments = 4;
+    ExperimentDriver segmented;
+    segmented.applyPlan(plan);
     auto results = segmented.run({"dss-qry17"}, engines);
     EXPECT_EQ(segmented.checkpointsWritten(), 0u);
     EXPECT_EQ(segmented.resumedRuns(), 0u);
     expectSameResults(expected, results);
+}
+
+/** RAII guard: bump an engine's state version for one test and
+ *  restore it afterwards — the registry is process-global. */
+class ScopedStateVersion
+{
+  public:
+    ScopedStateVersion(const std::string &name, std::uint32_t v)
+        : name_(name),
+          previous_(
+              EngineRegistry::instance().setStateVersion(name, v))
+    {
+    }
+    ~ScopedStateVersion()
+    {
+        EngineRegistry::instance().setStateVersion(name_, previous_);
+    }
+
+  private:
+    std::string name_;
+    std::uint32_t previous_;
+};
+
+TEST_F(SegmentedDriverTest,
+       EngineStateVersionBumpOrphansStoredCheckpoints)
+{
+    // An engine's state version is folded into its checkpoint spec
+    // digest, so bumping it (a code change that alters the
+    // serialized state) must fence off every checkpoint that engine
+    // stored: an extended run finds nothing to resume from, yet
+    // produces the continuous run's results via the cold path.
+    std::vector<EngineSpec> engines = engineSpecs({"stems"});
+    ExperimentConfig cfg = smallConfig(false, 20000);
+    cfg.warmupRecords = 8000;
+    SweepPlan plan = configPlan(cfg, 2);
+    plan.checkpointEvery = 6000;
+
+    ExperimentDriver seeder;
+    seeder.applyPlan(plan);
+    seeder.setStore(std::make_shared<TraceStore>(dir_));
+    seeder.run({"dss-qry17"}, engines);
+    EXPECT_GT(seeder.checkpointsWritten(), 0u);
+
+    // Store the long trace's baselines up front, so the extended
+    // runs below schedule only the stems cell: the engineless
+    // baseline cell has no state version and would resume.
+    ExperimentConfig long_cfg = smallConfig(false, 30000);
+    long_cfg.warmupRecords = 8000;
+    ExperimentDriver baselines(long_cfg, 2);
+    baselines.setStore(std::make_shared<TraceStore>(dir_));
+    baselines.run({"dss-qry17"}, {});
+
+    SweepPlan long_plan = configPlan(long_cfg, 2);
+    long_plan.checkpointEvery = 6000;
+    auto extend = [&](const std::string &dir) {
+        auto driver = std::make_unique<ExperimentDriver>();
+        driver->applyPlan(long_plan);
+        driver->setStore(std::make_shared<TraceStore>(dir));
+        auto results = driver->run({"dss-qry17"}, engines);
+        return std::make_pair(std::move(driver), results);
+    };
+
+    // Control, on a copy of the store: at the current version the
+    // stems cell does resume, so the fence below is not vacuous.
+    const std::string control_dir = dir_ + "_control";
+    std::filesystem::copy(dir_, control_dir,
+                          std::filesystem::copy_options::recursive);
+    EXPECT_EQ(extend(control_dir).first->resumedRuns(), 1u);
+    std::filesystem::remove_all(control_dir);
+
+    ScopedStateVersion bump(
+        "stems",
+        EngineRegistry::instance().stateVersion("stems") + 1);
+    auto fenced = extend(dir_);
+    EXPECT_EQ(fenced.first->engineRuns(), 1u);
+    EXPECT_EQ(fenced.first->resumedRuns(), 0u);
+
+    ExperimentDriver reference(long_cfg, 2);
+    expectSameResults(reference.run({"dss-qry17"}, engines),
+                      fenced.second);
 }
 
 } // namespace

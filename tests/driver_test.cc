@@ -67,8 +67,10 @@ TEST(Driver, BatchedMatchesUnbatchedAcrossJobs)
     std::vector<std::vector<WorkloadResult>> runs;
     for (unsigned jobs : {1u, 8u}) {
         for (bool batch : {true, false}) {
-            ExperimentDriver driver(cfg, jobs);
-            driver.setBatching(batch);
+            SweepPlan plan = test::configPlan(cfg, jobs);
+            plan.batch = batch;
+            ExperimentDriver driver;
+            driver.applyPlan(plan);
             runs.push_back(
                 driver.run(kWorkloads, engineSpecs(kEngines)));
             if (batch)

@@ -113,9 +113,9 @@ TEST(Regression, NaiveHybridShape)
     // joint coverage. (The paper's 2-3x overprediction blow-up does
     // not fully reproduce in this substrate: our SMS prefetches into
     // the L2 and thereby pre-filters TMS's miss stream, dampening
-    // the interference — see EXPERIMENTS.md. We pin the coverage
-    // property and that the hybrid is at least as wasteful as its
-    // cleaner constituent.)
+    // the interference — see "Deviations" in docs/REPRODUCING.md.
+    // We pin the coverage property and that the hybrid is at least
+    // as wasteful as its cleaner constituent.)
     ExperimentConfig cfg;
     cfg.traceRecords = 800'000;
     ExperimentRunner runner(cfg);

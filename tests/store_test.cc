@@ -862,11 +862,12 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
 
 TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
 {
-    // listCheckpoints() is the speculation candidate source: it must
-    // enumerate every well-formed key of the requested identity —
-    // including multiple state digests per index and entries whose
-    // blob is corrupt (integrity is loadCheckpoint's job) — while
-    // skipping foreign identities and malformed filenames.
+    // listCheckpoints() feeds the distributed trusted-boundary
+    // probe: it must enumerate every well-formed key of the
+    // requested identity — including multiple state digests per
+    // index and entries whose blob is corrupt (integrity is
+    // loadCheckpoint's job) — while skipping foreign identities and
+    // malformed filenames.
     TraceStore store(dir_);
     const std::uint64_t spec = 0xFEED, cfg = 0xBEEF;
     ASSERT_TRUE(store.putCheckpoint(spec, cfg, 100, 1,

@@ -61,6 +61,19 @@ smallConfig(bool timing, std::size_t records)
     return cfg;
 }
 
+SweepPlan
+configPlan(const ExperimentConfig &cfg, unsigned jobs)
+{
+    SweepPlan plan;
+    plan.records = cfg.traceRecords;
+    plan.seed = cfg.seed;
+    plan.warmupFraction = cfg.warmupFraction;
+    plan.warmupRecords = cfg.warmupRecords;
+    plan.timing = cfg.enableTiming;
+    plan.jobs = jobs;
+    return plan;
+}
+
 void
 expectSameTrace(const Trace &a, const Trace &b)
 {

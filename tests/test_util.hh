@@ -18,6 +18,7 @@
 
 #include "sim/config.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep_plan.hh"
 #include "trace/trace.hh"
 
 namespace stems {
@@ -52,6 +53,12 @@ Trace sampleTrace(std::uint64_t salt = 0);
 /** The shared small sweep configuration of the driver/store suites. */
 ExperimentConfig smallConfig(bool timing,
                              std::size_t records = 60000);
+
+/** A plan whose trace and warmup knobs mirror `cfg`, run on `jobs`
+ *  workers with the default execution policy. Suites set the policy
+ *  fields they exercise and hand it to ExperimentDriver::applyPlan
+ *  (the driver's only policy writer). */
+SweepPlan configPlan(const ExperimentConfig &cfg, unsigned jobs);
 
 /** Record-for-record equality (every MemRecord field). */
 void expectSameTrace(const Trace &a, const Trace &b);
