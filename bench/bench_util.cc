@@ -66,21 +66,16 @@ usage(const char *argv0, int status)
         "                     (default)\n"
         "  --no-batch         one task per cell, re-iterating the\n"
         "                     trace (same results, bitwise)\n"
-        "  --segments K       segmented execution: checkpoint each\n"
-        "                     cell at K segment boundaries and\n"
-        "                     resume warm prefixes (needs --store;\n"
-        "                     same results, bitwise)\n"
         "  --checkpoint-every N\n"
-        "                     checkpoint every N records instead of\n"
-        "                     at relative segment cuts (stable\n"
-        "                     boundaries across --records values)\n"
+        "                     checkpoint each cell every N records\n"
+        "                     and resume warm prefixes (needs\n"
+        "                     --store; same results, bitwise)\n"
         "  --warmup-records N warm up exactly N records instead of\n"
         "                     50%% of the trace (keeps prefixes\n"
         "                     comparable across --records values)\n"
-        "  --unit-granularity workload|cell|segment\n"
+        "  --unit-granularity workload|cell\n"
         "                     distributed work-unit size for\n"
-        "                     `stems_trace serve` (segment needs a\n"
-        "                     checkpoint schedule; same results,\n"
+        "                     `stems_trace serve` (same results,\n"
         "                     bitwise)\n"
         "  --metrics-out FILE write a metrics snapshot\n"
         "                     (stems-metrics-v1 JSON)\n"
@@ -175,11 +170,6 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.batch = true;
         } else if (arg == "--no-batch") {
             options.batch = false;
-        } else if (arg == "--segments") {
-            std::uint64_t v =
-                numberArg(argv[0], "--segments", value());
-            options.segments =
-                v > 0 ? static_cast<unsigned>(v) : 1;
         } else if (arg == "--checkpoint-every") {
             options.checkpointEvery = static_cast<std::size_t>(
                 numberArg(argv[0], "--checkpoint-every", value()));
@@ -192,7 +182,7 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
                                       options.unitGranularity)) {
                 std::fprintf(stderr,
                              "%s: --unit-granularity wants "
-                             "workload|cell|segment, got '%s'\n",
+                             "workload|cell, got '%s'\n",
                              argv[0], v);
                 usage(argv[0], 1);
             }
@@ -236,11 +226,10 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.storeDir = env;
     }
 
-    if ((options.segments > 1 || options.checkpointEvery > 0) &&
-        options.storeDir.empty()) {
+    if (options.checkpointEvery > 0 && options.storeDir.empty()) {
         std::fprintf(stderr,
-                     "%s: --segments/--checkpoint-every "
-                     "need a --store to keep checkpoints in\n",
+                     "%s: --checkpoint-every needs a --store to "
+                     "keep checkpoints in\n",
                      argv[0]);
         std::exit(1);
     }
@@ -282,7 +271,6 @@ benchPlan(const BenchOptions &options, bool enable_timing,
     plan.timing = enable_timing;
     plan.jobs = options.jobs;
     plan.batch = options.batch;
-    plan.segments = options.segments;
     plan.checkpointEvery = options.checkpointEvery;
     plan.heartbeatSeconds = options.progressSeconds;
     plan.unitGranularity = options.unitGranularity;
@@ -585,7 +573,6 @@ BenchObsSession::finish()
         add("store", options_.storeDir.empty() ? "(none)"
                                                : options_.storeDir);
         add("batch", options_.batch ? "1" : "0");
-        add("segments", std::to_string(options_.segments));
         add("checkpoint_every",
             std::to_string(options_.checkpointEvery));
         add("warmup_records",

@@ -10,7 +10,7 @@
  *         [--workloads a,b,c] [--engines x,y]
  *         [--store DIR] [--no-store] [--json FILE]
  *         [--batch] [--no-batch]
- *         [--segments K] [--checkpoint-every N]
+ *         [--checkpoint-every N]
  *         [--warmup-records N] [--plan-out FILE] [--list] [--help]
  *
  * The bare positional `records` argument is the historical interface
@@ -27,14 +27,14 @@
  * one-task-per-cell dispatch; results are bitwise identical either
  * way.
  *
- * `--segments K` / `--checkpoint-every N` enable segmented execution
- * (requires a store): every cell persists simulator checkpoints at
- * segment boundaries and resumes from the newest matching one, so a
- * re-run — including one extended to more --records — simulates only
- * the unseen suffix. `--warmup-records N` pins the warmup boundary
- * absolutely (instead of the 50% fraction), which keeps the prefix
- * identical across record counts; results stay bitwise identical to
- * an unsegmented run either way.
+ * `--checkpoint-every N` enables checkpointed execution (requires a
+ * store): every cell persists simulator checkpoints every N records
+ * and resumes from the newest matching one, so a re-run — including
+ * one extended to more --records — simulates only the unseen suffix.
+ * `--warmup-records N` pins the warmup boundary absolutely (instead
+ * of the 50% fraction), which keeps the prefix identical across
+ * record counts; results stay bitwise identical to an uncheckpointed
+ * run either way.
  */
 
 #ifndef STEMS_BENCH_BENCH_UTIL_HH
@@ -75,15 +75,13 @@ struct BenchOptions
     /// Batched execution (one trace pass per workload); --no-batch
     /// restores the per-cell dispatch.
     bool batch = true;
-    /// Segmented execution: segment count (1 = off).
-    unsigned segments = 1;
-    /// Segmented execution: absolute checkpoint interval (0 = off;
-    /// wins over `segments` when both are set).
+    /// Checkpointed execution: absolute checkpoint interval (0 =
+    /// off).
     std::size_t checkpointEvery = 0;
     /// Absolute warmup-record override (0 = 50% fraction).
     std::size_t warmupRecords = 0;
     /// Distributed work-unit granularity (--unit-granularity;
-    /// "workload" | "cell" | "segment"). Pure scheduling policy for
+    /// "workload" | "cell"). Pure scheduling policy for
     /// `stems_trace serve`: results are bitwise identical at any
     /// setting; local (non-serve) runs ignore it.
     UnitGranularity unitGranularity = UnitGranularity::kWorkload;
@@ -114,7 +112,7 @@ BenchOptions parseBenchOptions(int argc, char **argv,
 /**
  * THE one place that maps the bench CLI onto a declarative
  * SweepPlan: trace knobs (records/seed/warmup), timing mode, and
- * the whole execution policy (jobs/batch/segments/checkpoint/
+ * the whole execution policy (jobs/batch/checkpoint/
  * heartbeat) come from `options`; the workload and engine
  * columns are the bench's resolved selections. When --plan-out was
  * given, the canonical plan JSON is written as a side effect (note

@@ -31,40 +31,20 @@ unitKindCounter(UnitKind kind)
     switch (kind) {
     case UnitKind::kCell:
         return "net.unit.cell";
-    case UnitKind::kSegment:
-        return "net.unit.segment";
     case UnitKind::kWorkload:
     default:
         return "net.unit.workload";
     }
 }
 
-std::vector<WorkUnit>
-storelessUnits(const SweepPlan &plan)
-{
-    // Without a store there is no seeding pass, so segment
-    // granularity degrades to the finest storeless decomposition
-    // (cells). Purely a scheduling matter: results are identical at
-    // any granularity.
-    SweepPlan local = plan;
-    if (local.unitGranularity == UnitGranularity::kSegment)
-        local.unitGranularity = UnitGranularity::kCell;
-    return decomposeSweepPlan(local, nullptr);
-}
-
 } // namespace
 
 SweepCoordinator::SweepCoordinator(const SweepPlan &plan)
-    : SweepCoordinator(plan, storelessUnits(plan))
-{
-}
-
-SweepCoordinator::SweepCoordinator(const SweepPlan &plan,
-                                   std::vector<WorkUnit> units)
     : plan_(plan),
       planJson_(sweepPlanJson(plan)),
       planDigest_(sweepPlanDigest(plan))
 {
+    std::vector<WorkUnit> units = decomposeSweepPlan(plan);
     units_.reserve(units.size());
     for (WorkUnit &work : units) {
         Unit unit;
@@ -82,27 +62,13 @@ SweepCoordinator::listen(std::uint16_t port, std::string *error)
 }
 
 bool
-SweepCoordinator::unitAssignable(std::size_t index) const
-{
-    const Unit &unit = units_[index];
-    if (unit.state != UnitState::kPending)
-        return false;
-    const std::int64_t dep = unit.work.dependsOn;
-    return dep < 0 ||
-           units_[static_cast<std::size_t>(dep)].state ==
-               UnitState::kDone;
-}
-
-bool
 SweepCoordinator::assignUnit(Conn &conn)
 {
-    // Lowest assignable index first: deterministic hand-out order
-    // (the results themselves are order-independent, but
-    // predictable scheduling keeps logs and tests readable), and
-    // segment chains advance front-to-back so dependents unblock as
-    // early as possible.
+    // Lowest pending index first: deterministic hand-out order (the
+    // results themselves are order-independent, but predictable
+    // scheduling keeps logs and tests readable).
     for (std::size_t i = 0; i < units_.size(); ++i) {
-        if (!unitAssignable(i))
+        if (units_[i].state != UnitState::kPending)
             continue;
         const WorkUnit &work = units_[i].work;
         UnitMsg msg;
@@ -110,9 +76,6 @@ SweepCoordinator::assignUnit(Conn &conn)
         msg.workload = work.workload;
         msg.kind = work.kind;
         msg.column = work.column;
-        msg.segBegin = work.segBegin;
-        msg.segEnd = work.segEnd;
-        msg.finalSegment = work.finalSegment;
         // Prefetch hint: the next pending unit with a *different*
         // workload — its trace can be materialized into the store
         // while this unit simulates.
@@ -135,7 +98,7 @@ SweepCoordinator::assignUnit(Conn &conn)
         coordCounter(unitKindCounter(work.kind)).add();
         return true;
     }
-    return false; // nothing assignable
+    return false; // nothing pending
 }
 
 /** Graceful end-of-sweep: kBye then close (not a failure path). */
@@ -172,7 +135,7 @@ SweepCoordinator::dropConn(std::size_t index)
     }
     conn.io->close();
     coordCounter("coord.workers.disconnected").add();
-    // A parked worker can take over anything now assignable.
+    // A parked worker can take over anything now pending.
     pumpParked();
 }
 
@@ -326,8 +289,6 @@ SweepCoordinator::handleFrame(std::size_t index, const Frame &frame)
             completed_++;
             coordCounter("coord.units.completed").add();
             conn.state = ConnState::kIdle;
-            // Completion may unblock segment-chain dependents.
-            pumpParked();
             return true;
         }
         // Duplicate completion for a unit that is already done

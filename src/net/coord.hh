@@ -1,7 +1,7 @@
 /**
  * @file
  * Sweep coordinator: decomposes a SweepPlan into work units
- * (net/units.hh — whole workloads, cells, or checkpoint segments)
+ * (net/units.hh — whole workloads or cells)
  * and hands them to connected workers over the net/protocol.hh pull
  * protocol until every unit is complete.
  *
@@ -14,8 +14,7 @@
  *
  * Unit lifecycle: pending -> in-flight -> (resumable ->) done.
  *
- *  - pending: unassigned. Assignable once its dependency (segment
- *    chains, WorkUnit::dependsOn) is done; lowest index first.
+ *  - pending: unassigned; handed out lowest index first.
  *  - in-flight: owned by one worker connection/session.
  *  - resumable: the owning connection was lost mid-unit. The unit
  *    stays reserved for that session for a grace window
@@ -55,15 +54,9 @@ namespace stems {
 class SweepCoordinator
 {
   public:
-    /** Decompose the plan without a store: workload or cell
-     *  granularity as the plan asks; segment granularity (which
-     *  needs a store for its seeding pass) falls back to cells.
-     *  Use the two-argument form to serve store-seeded units. */
+    /** Serve the plan's units (decomposeSweepPlan) at the
+     *  granularity it asks for. */
     explicit SweepCoordinator(const SweepPlan &plan);
-
-    /** Serve a precomputed decomposition (decomposeSweepPlan). */
-    SweepCoordinator(const SweepPlan &plan,
-                     std::vector<WorkUnit> units);
 
     ~SweepCoordinator();
 
@@ -121,7 +114,7 @@ class SweepCoordinator
         kAwaitHello, ///< accepted, no kMsgHello yet
         kAwaitAck,   ///< plan sent, no kMsgPlanAck yet
         kIdle,       ///< ready, no outstanding unit request
-        kParked,     ///< asked for work while none was assignable
+        kParked,     ///< asked for work while none was pending
         kWorking     ///< owns an in-flight unit
     };
 
@@ -142,12 +135,11 @@ class SweepCoordinator
         std::uint64_t session = 0; ///< assigned at kMsgHello
     };
 
-    bool unitAssignable(std::size_t index) const;
     bool assignUnit(Conn &conn);
     void finishConn(Conn &conn);
     void dropConn(std::size_t index);
     bool handleFrame(std::size_t index, const Frame &frame);
-    /** Offer newly-assignable units to parked workers. */
+    /** Offer newly-pending (requeued) units to parked workers. */
     void pumpParked();
     /** Requeue expired resumable units and watchdog overdue ones. */
     void expireUnits();

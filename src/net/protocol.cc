@@ -9,10 +9,10 @@ namespace {
 constexpr std::uint32_t kHelloTag = stateTag('N', 'H', 'L', 'O');
 constexpr std::uint32_t kPlanTag = stateTag('N', 'P', 'L', 'N');
 constexpr std::uint32_t kPlanAckTag = stateTag('N', 'P', 'A', 'K');
-// v2 unit payload: a fresh tag (v1 used 'NUNT'), so a v1 decoder
-// rejects the richer layout outright instead of mis-reading a
-// prefix of it.
-constexpr std::uint32_t kUnitTag = stateTag('N', 'U', 'N', '2');
+// A fresh tag per unit layout (v1 'NUNT', v2-v3 'NUN2' with segment
+// fields), so an older decoder rejects this layout outright instead
+// of mis-reading a prefix of it.
+constexpr std::uint32_t kUnitTag = stateTag('N', 'U', 'N', '4');
 constexpr std::uint32_t kUnitDoneTag = stateTag('N', 'U', 'D', 'N');
 constexpr std::uint32_t kResumeTag = stateTag('N', 'R', 'S', 'M');
 constexpr std::uint32_t kResumeAckTag = stateTag('N', 'R', 'S', 'A');
@@ -141,9 +141,6 @@ encodeUnit(const UnitMsg &msg)
     // column (-1) encodes as 0 and the codec stays unsigned.
     w.u64(static_cast<std::uint64_t>(
         static_cast<std::int64_t>(msg.column) + 1));
-    w.u64(msg.segBegin);
-    w.u64(msg.segEnd);
-    w.boolean(msg.finalSegment);
     writeString(w, msg.prefetchWorkload);
     return w.take();
 }
@@ -156,7 +153,7 @@ decodeUnit(const std::vector<std::uint8_t> &bytes, UnitMsg &out)
     out.unitIndex = r.u64();
     out.workload = readString(r, 64u << 10);
     const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(UnitKind::kSegment)) {
+    if (kind > static_cast<std::uint8_t>(UnitKind::kCell)) {
         r.fail();
         return false;
     }
@@ -169,10 +166,6 @@ decodeUnit(const std::vector<std::uint8_t> &bytes, UnitMsg &out)
     out.column =
         static_cast<std::int32_t>(static_cast<std::int64_t>(column) -
                                   1);
-    out.segBegin = r.u64();
-    out.segEnd = r.u64();
-    if (!readBool(r, out.finalSegment))
-        return false;
     out.prefetchWorkload = readString(r, 64u << 10);
     return r.atEnd();
 }

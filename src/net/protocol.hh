@@ -11,10 +11,9 @@
  * receives the full declarative SweepPlan as canonical JSON plus
  * its digest and a coordinator-assigned session id (kPlan,
  * acknowledged by echoing the digest in kPlanAck), then loops
- * requesting work units (kRequestUnit -> kUnit). A unit is one of
- * three granularities (net/units.hh): a whole workload row, one
- * (workload, engine-column) cell, or one checkpoint-delimited
- * segment of a cell; executing it runs the same driver lane path a
+ * requesting work units (kRequestUnit -> kUnit). A unit is a whole
+ * workload row or one (workload, engine-column) cell
+ * (net/units.hh); executing it runs the same driver lane path a
  * local sweep uses, persisting baselines, checkpoints and results
  * into the shared store. kUnitDone reports completion; when every
  * unit of the plan is complete the coordinator answers pending
@@ -42,9 +41,9 @@
  * Payload encodings use common/state_codec.hh with the same
  * bounds-checked "reject, never mis-decode" discipline as the
  * checkpoint codec; the frame layer (net/frame.hh) already
- * CRC-protects every message. The v2 kUnit payload uses a fresh
- * payload tag, so a v1 decoder rejects it outright instead of
- * reading a prefix of it.
+ * CRC-protects every message. Each kUnit layout change takes a fresh
+ * payload tag, so an older decoder rejects the new layout outright
+ * instead of reading a prefix of it.
  */
 
 #ifndef STEMS_NET_PROTOCOL_HH
@@ -61,8 +60,9 @@ namespace stems {
 /** Bumped on any wire-visible change; kHello carries it.
  *  v2: session ids, Resume/ResumeAck, tagged multi-granularity
  *  units with a prefetch hint.
- *  v3: kMsgPlan carries the stems-sweep-plan-v2 schema. */
-inline constexpr std::uint32_t kNetProtocolVersion = 3;
+ *  v3: kMsgPlan carries the stems-sweep-plan-v2 schema.
+ *  v4: stems-sweep-plan-v3 plans; kUnit drops the segment fields. */
+inline constexpr std::uint32_t kNetProtocolVersion = 4;
 
 /** Frame types (net/frame.hh `type` field). */
 enum NetMsg : std::uint32_t
@@ -115,14 +115,9 @@ struct UnitMsg
     std::uint64_t unitIndex = 0;
     std::string workload;
     UnitKind kind = UnitKind::kWorkload;
-    /// Engine column (cell/segment units): -1 = the baseline
-    /// column, >= 0 indexes the plan's engine list.
+    /// Engine column (cell units): -1 = the baseline column, >= 0
+    /// indexes the plan's engine list.
     std::int32_t column = -1;
-    std::uint64_t segBegin = 0; ///< segment units: first record
-    std::uint64_t segEnd = 0;   ///< segment units: one past last
-    /// Segment units: this is the cell's final segment (its end is
-    /// the trace end), so results must be computed and persisted.
-    bool finalSegment = false;
     std::string prefetchWorkload;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "sim/checkpoint.hh"
 #include "sim/config.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
@@ -13,13 +12,6 @@
 namespace stems {
 
 namespace {
-
-void
-setError(std::string *error, const std::string &text)
-{
-    if (error)
-        *error = text;
-}
 
 /**
  * Checkpoint spec digests of one cell's lanes — the same identities
@@ -96,131 +88,29 @@ trustedCheckpointAt(SpecListings &memo, TraceStore &store,
 } // namespace
 
 std::vector<WorkUnit>
-decomposeSweepPlan(const SweepPlan &plan, TraceStore *store,
-                   std::string *error)
+decomposeSweepPlan(const SweepPlan &plan)
 {
     std::vector<WorkUnit> units;
     const WorkloadRegistry &registry = WorkloadRegistry::instance();
-
-    if (plan.unitGranularity == UnitGranularity::kWorkload) {
-        for (const std::string &name : plan.workloads) {
-            WorkUnit u;
-            u.kind = UnitKind::kWorkload;
-            u.workload = name;
-            units.push_back(std::move(u));
-        }
-        return units;
-    }
-
-    const bool segmented =
-        plan.unitGranularity == UnitGranularity::kSegment;
-    if (segmented && (!store || !store->usable())) {
-        setError(error,
-                 "segment units need a usable trace store (the "
-                 "seeding pass writes traces and reads boundary "
-                 "checkpoints)");
-        return {};
-    }
-
-    const ExperimentConfig config = planExperimentConfig(plan);
-    const std::uint64_t ckpt_config = checkpointConfigDigest(config);
-    const bool have_schedule =
-        plan.checkpointEvery > 0 || plan.segments > 1;
-
     for (const std::string &name : plan.workloads) {
-        if (!registry.contains(name)) {
-            // run() skips unknown workload names; keeping them as
-            // whole-workload units keeps the distributed run's
-            // behaviour identical to the local one.
+        // run() skips unknown workload names; keeping them as
+        // whole-workload units keeps the distributed run's
+        // behaviour identical to the local one.
+        if (plan.unitGranularity == UnitGranularity::kWorkload ||
+            !registry.contains(name)) {
             WorkUnit u;
             u.kind = UnitKind::kWorkload;
             u.workload = name;
             units.push_back(std::move(u));
             continue;
         }
-
-        std::vector<std::int32_t> columns;
-        columns.push_back(-1);
-        for (std::size_t j = 0; j < plan.engines.size(); ++j)
-            columns.push_back(static_cast<std::int32_t>(j));
-
-        if (!segmented) {
-            for (std::int32_t c : columns) {
-                WorkUnit u;
-                u.kind = UnitKind::kCell;
-                u.workload = name;
-                u.column = c;
-                units.push_back(std::move(u));
-            }
-            continue;
-        }
-
-        // Seeding pass. Generators may overshoot plan.records, so
-        // the true trace length — which fixes the boundary
-        // schedule — is only known from the trace itself; writing
-        // it here also pre-populates the data plane every worker
-        // will replay from.
-        std::unique_ptr<Workload> workload = registry.make(name);
-        const bool scientific = workload->workloadClass() ==
-                                WorkloadClass::kScientific;
-        TraceKey key{name, plan.records, plan.seed};
-        Trace trace;
-        if (!store->loadTrace(key, trace)) {
-            trace = workload->generate(
-                plan.seed, static_cast<std::size_t>(plan.records));
-            if (!store->putTrace(key, trace)) {
-                setError(error, "cannot seed trace for '" + name +
-                                    "' into the store");
-                return {};
-            }
-        }
-
-        std::vector<std::size_t> bounds =
-            have_schedule
-                ? checkpointBounds(
-                      trace.size(),
-                      static_cast<std::size_t>(plan.checkpointEvery),
-                      plan.segments)
-                : std::vector<std::size_t>{trace.size()};
-        if (bounds.empty())
-            bounds.push_back(0); // empty trace: one no-op segment
-        const std::size_t warmup =
-            effectiveWarmupRecords(config, trace.size());
-        const std::vector<std::uint64_t> prefixes =
-            tracePrefixDigests(trace, bounds);
-
-        SpecListings memo;
-        for (std::int32_t c : columns) {
-            const std::vector<std::uint64_t> specs =
-                columnCkptSpecs(plan, scientific, c);
-            std::int64_t prev = -1;
-            std::uint64_t start = 0;
-            for (std::size_t b = 0; b < bounds.size(); ++b) {
-                WorkUnit u;
-                u.kind = UnitKind::kSegment;
-                u.workload = name;
-                u.column = c;
-                u.segBegin = start;
-                u.segEnd = bounds[b];
-                u.finalSegment = b + 1 == bounds.size();
-                if (start != 0) {
-                    // `start` is bounds[b - 1]; a trusted stored
-                    // checkpoint there lets this segment start
-                    // without waiting for its predecessor.
-                    const std::uint64_t state =
-                        checkpointStateDigest(
-                            prefixes[b - 1],
-                            static_cast<std::size_t>(start),
-                            warmup);
-                    if (!trustedCheckpointAt(memo, *store, specs,
-                                             ckpt_config, start,
-                                             state))
-                        u.dependsOn = prev;
-                }
-                prev = static_cast<std::int64_t>(units.size());
-                units.push_back(std::move(u));
-                start = bounds[b];
-            }
+        for (std::int32_t c = -1;
+             c < static_cast<std::int32_t>(plan.engines.size()); ++c) {
+            WorkUnit u;
+            u.kind = UnitKind::kCell;
+            u.workload = name;
+            u.column = c;
+            units.push_back(std::move(u));
         }
     }
     return units;
@@ -241,10 +131,6 @@ unitLastCheckpointIndex(const SweepPlan &plan, const WorkUnit &unit,
     Trace trace;
     if (!store.loadTrace(key, trace))
         return 0;
-    const std::uint64_t limit =
-        unit.kind == UnitKind::kSegment
-            ? std::min<std::uint64_t>(unit.segEnd, trace.size())
-            : trace.size();
 
     const ExperimentConfig config = planExperimentConfig(plan);
     const std::uint64_t ckpt_config = checkpointConfigDigest(config);
@@ -259,7 +145,7 @@ unitLastCheckpointIndex(const SweepPlan &plan, const WorkUnit &unit,
     std::vector<std::size_t> candidates;
     for (const StoredCheckpointKey &k :
          listingFor(memo, store, specs.front(), ckpt_config))
-        if (k.index > 0 && k.index <= limit)
+        if (k.index > 0 && k.index <= trace.size())
             candidates.push_back(static_cast<std::size_t>(k.index));
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(

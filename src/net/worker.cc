@@ -84,9 +84,6 @@ toWorkUnit(const UnitMsg &msg)
     work.kind = msg.kind;
     work.workload = msg.workload;
     work.column = msg.column;
-    work.segBegin = msg.segBegin;
-    work.segEnd = msg.segEnd;
-    work.finalSegment = msg.finalSegment;
     return work;
 }
 
@@ -157,35 +154,6 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
                 specs.push_back(engine_specs[static_cast<std::size_t>(
                     unit.column)]);
             driver.run({unit.workload}, specs);
-            break;
-        }
-        case UnitKind::kSegment: {
-            const EngineSpec *engine =
-                unit.column >= 0
-                    ? &engine_specs[static_cast<std::size_t>(
-                          unit.column)]
-                    : nullptr;
-            if (unit.finalSegment) {
-                // The cell's last slice: run the cell through the
-                // normal path — the driver resumes from the newest
-                // trusted checkpoint (the predecessor unit's end
-                // state) and computes and persists the results.
-                std::vector<EngineSpec> specs;
-                if (engine)
-                    specs.push_back(*engine);
-                driver.run({unit.workload}, specs);
-            } else {
-                std::string seg_error;
-                if (!driver.runCellSegment(
-                        unit.workload, engine,
-                        static_cast<std::size_t>(unit.segBegin),
-                        static_cast<std::size_t>(unit.segEnd),
-                        &seg_error)) {
-                    setError(error, "segment unit failed: " +
-                                        seg_error);
-                    return false;
-                }
-            }
             break;
         }
         }

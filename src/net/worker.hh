@@ -2,8 +2,8 @@
  * @file
  * Sweep worker: connects to a coordinator (net/coord.hh), receives
  * the declarative SweepPlan, and executes work units — whole
- * workload rows, (workload, engine-column) cells, or checkpoint
- * segments of a cell (net/units.hh) — through the exact same
+ * workload rows or (workload, engine-column) cells
+ * (net/units.hh) — through the exact same
  * ExperimentDriver lane path a local sweep uses, persisting
  * baselines, checkpoints and per-engine results into the shared
  * content-addressed store. The wire never carries results; the

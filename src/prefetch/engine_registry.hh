@@ -32,6 +32,11 @@ namespace stems {
 
 struct SystemConfig; // sim/config.hh; taken by reference only
 
+/// Most stream queues a TMS/STeMS engine can run: stream ids pack
+/// the queue index into 4 bits (encodeId in prefetch/tms.hh and
+/// core/stream.hh).
+inline constexpr std::size_t kMaxStreamQueues = 16;
+
 /**
  * Per-instance engine overrides. Every field is optional; unset
  * fields keep the SystemConfig (Table 1) defaults. Fields a given
@@ -44,9 +49,10 @@ struct EngineOptions
     bool scientific = false;
     /// Stream lookahead (TMS/STeMS).
     std::optional<unsigned> lookahead;
-    /// Temporal-buffer entries: TMS miss-order buffer / STeMS RMOB.
+    /// Temporal-buffer entries: TMS miss-order buffer / STeMS RMOB
+    /// (at least 1).
     std::optional<std::size_t> bufferEntries;
-    /// Stream-queue count (TMS/STeMS).
+    /// Stream-queue count (TMS/STeMS), 1..kMaxStreamQueues.
     std::optional<std::size_t> streamQueues;
     /// 2-bit counters vs bit vectors in the SMS history.
     std::optional<bool> smsUseCounters;

@@ -75,16 +75,6 @@ BatchSimulator::setLaneStart(std::size_t lane_index,
 }
 
 void
-BatchSimulator::setLaneRange(std::size_t lane_index,
-                             std::size_t start_index,
-                             std::size_t end_index)
-{
-    Lane &lane = lanes_.at(lane_index);
-    lane.start = start_index;
-    lane.end = end_index;
-}
-
-void
 BatchSimulator::setLaneBoundaries(std::size_t lane_index,
                                   std::vector<std::size_t> boundaries)
 {
@@ -107,11 +97,7 @@ BatchSimulator::runLaneChunk(std::size_t lane_index,
     PrefetchSimulator &sim = *lane.sim;
     if (first + count <= lane.start)
         return; // whole chunk inside the resumed prefix
-    if (first >= lane.end)
-        return; // whole chunk past the lane's range end
     std::size_t skip = lane.start > first ? lane.start - first : 0;
-    if (lane.end < first + count)
-        count = lane.end - first;
     batchMetrics().recordSteps.add(count - skip);
     for (std::size_t i = skip; i < count; ++i) {
         std::size_t global = first + i;
@@ -211,69 +197,6 @@ BatchSimulator::finishAll(std::size_t total_records)
         }
         lane.sim->finish();
     }
-}
-
-void
-BatchSimulator::runLaneRange(std::size_t lane_index,
-                             const Trace &trace)
-{
-    Lane &lane = lanes_[lane_index];
-    std::size_t end = std::min(lane.end, trace.size());
-    ScopedSpan span("batch.segment", "batch");
-    if (span.active()) {
-        span.arg("lane", static_cast<std::uint64_t>(lane_index));
-        span.arg("first", static_cast<std::uint64_t>(lane.start));
-        span.arg("end", static_cast<std::uint64_t>(end));
-    }
-    for (std::size_t pos = lane.start; pos < end;
-         pos += kChunkRecords) {
-        std::size_t count = std::min(end - pos, kChunkRecords);
-        runLaneChunk(lane_index, trace.data() + pos, pos, count);
-    }
-    if (laneEnd_)
-        laneEnd_(lane_index, end, *lane.sim);
-}
-
-void
-BatchSimulator::runSegments(const Trace &trace, unsigned jobs)
-{
-    // Lane-at-a-time, lanes in parallel: with disjoint per-lane
-    // ranges the run() chunk traversal would leave every thread but
-    // one idle per chunk, so here each worker owns whole lanes.
-    std::size_t workers = std::min<std::size_t>(
-        std::max(1u, jobs), lanes_.size());
-    if (workers <= 1) {
-        for (std::size_t li = 0; li < lanes_.size(); ++li)
-            runLaneRange(li, trace);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    auto body = [&] {
-        for (;;) {
-            std::size_t li =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (li >= lanes_.size())
-                break;
-            try {
-                runLaneRange(li, trace);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t t = 0; t + 1 < workers; ++t)
-        pool.emplace_back(body);
-    body();
-    for (std::thread &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
 }
 
 void

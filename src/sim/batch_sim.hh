@@ -108,43 +108,6 @@ class BatchSimulator
     void setLaneStart(std::size_t lane, std::size_t start_index);
 
     /**
-     * Restrict a lane to the record range [start_index, end_index):
-     * records before the start are skipped (the simulator must hold
-     * the matching checkpointed state, as with setLaneStart) and
-     * records at or past the end are never stepped. Ranges are the
-     * substrate of segment execution (distributed segment units):
-     * each segment is a lane over one slice of the trace, advanced
-     * by runSegments(). An end past the trace length is clamped to
-     * it.
-     */
-    void setLaneRange(std::size_t lane, std::size_t start_index,
-                      std::size_t end_index);
-
-    /**
-     * Advance every lane over its own [start, end) range, lanes in
-     * parallel on up to `jobs` threads (each lane runs entirely on
-     * one thread; threads claim lanes dynamically). Unlike run(),
-     * lanes_ ranges may be disjoint trace slices — the per-chunk
-     * lane-major traversal of run() would serialize those — and NO
-     * lane is finish()ed: the caller owns segment finalization,
-     * because a segment's end state is a checkpoint, captured
-     * pre-finish, not a final result. The lane-end callback fires
-     * for each lane when it reaches its end index (after stepping
-     * records [start, end), before the warmup-flip check of record
-     * `end` — the checkpoint convention). Call at most once.
-     */
-    void runSegments(const Trace &trace, unsigned jobs = 1);
-
-    /** Lane-end observer for runSegments: (lane, end index, lane
-     *  simulator). Invoked concurrently from lane worker threads;
-     *  must only touch per-lane or thread-safe state. */
-    using LaneEndFn = std::function<void(std::size_t, std::size_t,
-                                         PrefetchSimulator &)>;
-
-    /** Register the lane-end observer (one per batch). */
-    void setLaneEndCallback(LaneEndFn fn) { laneEnd_ = std::move(fn); }
-
-    /**
      * Checkpoint boundaries for a lane, ascending and strictly
      * greater than its start index. At each boundary index i the
      * boundary callback fires after records [0, i) were stepped and
@@ -176,9 +139,6 @@ class BatchSimulator
         Prefetcher *engine = nullptr;
         std::size_t warmup = 0;
         std::size_t start = 0;
-        /// One past the last record this lane steps; records beyond
-        /// it are ignored (npos = unbounded, the run() default).
-        std::size_t end = static_cast<std::size_t>(-1);
         std::vector<std::size_t> boundaries;
         std::size_t nextBoundary = 0; ///< cursor into boundaries
     };
@@ -200,15 +160,11 @@ class BatchSimulator
                       const MemRecord *records, std::size_t first,
                       std::size_t count);
 
-    /** One lane's whole [start, end) range (runSegments body). */
-    void runLaneRange(std::size_t lane_index, const Trace &trace);
-
     /** Fire end-of-trace boundaries, then finish every lane. */
     void finishAll(std::size_t total_records);
 
     std::vector<Lane> lanes_;
     BoundaryFn boundary_;
-    LaneEndFn laneEnd_;
 };
 
 } // namespace stems

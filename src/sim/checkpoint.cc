@@ -35,24 +35,15 @@ getScalar(const std::vector<std::uint8_t> &buf, std::size_t offset)
 } // namespace
 
 std::vector<std::size_t>
-checkpointBounds(std::size_t trace_size,
-                 std::size_t checkpoint_every, unsigned segments)
+checkpointBounds(std::size_t trace_size, std::size_t checkpoint_every)
 {
     std::vector<std::size_t> bounds;
     if (trace_size == 0)
         return bounds;
-    if (checkpoint_every > 0) {
+    if (checkpoint_every > 0)
         for (std::size_t b = checkpoint_every; b < trace_size;
              b += checkpoint_every)
             bounds.push_back(b);
-    } else {
-        for (unsigned k = 1; k < segments; ++k) {
-            std::size_t b = trace_size * k / segments;
-            if (b > 0 && b < trace_size &&
-                (bounds.empty() || bounds.back() != b))
-                bounds.push_back(b);
-        }
-    }
     bounds.push_back(trace_size);
     return bounds;
 }

@@ -44,22 +44,16 @@
 namespace stems {
 
 /**
- * Checkpoint boundaries over a trace of `trace_size` records under
- * the segments/checkpoint-every policy: ascending multiples of
- * `checkpoint_every` below the trace end (absolute indices, stable
- * across record counts, which is what lets an extended re-run find a
- * shorter run's checkpoints), or — when `checkpoint_every` is 0 —
- * `segments` equal cuts; plus the trace end itself so a follow-up
- * run can extend from the full prefix. Empty for an empty trace.
- *
- * THE boundary schedule: the driver's segmented execution and the
- * distributed coordinator's segment-unit decomposition
- * (net/units.hh) both call this, so a segment unit's endpoints
- * provably sit on the indices workers checkpoint at.
+ * Checkpoint boundaries over a trace of `trace_size` records:
+ * ascending multiples of `checkpoint_every` below the trace end
+ * (absolute indices, stable across record counts, which is what lets
+ * an extended re-run find a shorter run's checkpoints), plus the
+ * trace end itself so a follow-up run can extend from the full
+ * prefix. Just the trace end when `checkpoint_every` is 0; empty for
+ * an empty trace.
  */
 std::vector<std::size_t> checkpointBounds(std::size_t trace_size,
-                                          std::size_t checkpoint_every,
-                                          unsigned segments);
+                                          std::size_t checkpoint_every);
 
 /**
  * Current checkpoint blob format version.

@@ -100,7 +100,7 @@ struct WorkloadShard
     std::uint64_t traceDigest = 0;
     bool digestValid = false;
 
-    /// Segmented execution: checkpoint boundaries over this trace
+    /// Checkpointed execution: checkpoint boundaries over this trace
     /// (ascending, ending at trace.size()) and the trace-prefix
     /// digest at each boundary. Empty when checkpointing is off.
     std::vector<std::size_t> ckptBounds;
@@ -222,7 +222,6 @@ ExperimentDriver::applyPlan(const SweepPlan &plan)
         clearBaselineCache();
     jobs_ = resolveJobs(plan.jobs);
     batching_ = plan.batch;
-    segments_ = plan.segments == 0 ? 1 : plan.segments;
     checkpointEvery_ =
         static_cast<std::size_t>(plan.checkpointEvery);
     heartbeatSeconds_ =
@@ -474,18 +473,10 @@ ExperimentDriver::runCells(
     sim_params.enableTiming = config_.enableTiming;
     sim_params.timing = config_.system.timing;
 
-    // Segmented execution needs a store to put checkpoints in; with
-    // neither granularity knob set it is off entirely.
-    const bool ckpt_enabled =
-        store_ != nullptr && store_->usable() &&
-        (checkpointEvery_ > 0 || segments_ > 1);
-
-    // The shared boundary schedule (sim/checkpoint.hh): the same
-    // formula the distributed coordinator decomposes segment units
-    // with, so unit endpoints land exactly on checkpoint indices.
-    auto ckpt_bounds_for = [&](std::size_t size) {
-        return checkpointBounds(size, checkpointEvery_, segments_);
-    };
+    // Checkpointed execution needs a store to put checkpoints in
+    // and a checkpoint interval; without either it is off entirely.
+    const bool ckpt_enabled = store_ != nullptr && store_->usable() &&
+                              checkpointEvery_ > 0;
 
     auto materialize_shard = [&](WorkloadShard &shard) {
         std::call_once(shard.traceOnce, [&] {
@@ -510,8 +501,8 @@ ExperimentDriver::runCells(
             shard.warmup = effectiveWarmupRecords(
                 config_, shard.trace.size());
             if (ckpt_enabled) {
-                shard.ckptBounds =
-                    ckpt_bounds_for(shard.trace.size());
+                shard.ckptBounds = checkpointBounds(
+                    shard.trace.size(), checkpointEvery_);
                 shard.ckptBoundPrefixes = tracePrefixDigests(
                     shard.trace, shard.ckptBounds);
             }
@@ -614,10 +605,9 @@ ExperimentDriver::runCells(
      * BatchSimulator pass (the whole shard when batching, a single
      * cell otherwise — a 1-lane pass is bitwise identical to a
      * standalone PrefetchSimulator::run, which sim_test pins). When
-     * segmented execution is on, each lane resumes from
-     * the newest stored checkpoint whose trace prefix, warmup
-     * boundary and engine spec match, and writes a checkpoint at
-     * every boundary it crosses.
+     * checkpointing is on, each lane resumes from the newest stored
+     * checkpoint whose trace prefix, warmup boundary and engine spec
+     * match, and writes a checkpoint at every boundary it crosses.
      */
     auto execute_cells = [&](WorkloadShard &shard,
                              const std::vector<Cell> &group,
@@ -1054,202 +1044,6 @@ ExperimentDriver::run(const std::vector<std::string> &workloads,
         owned.push_back(std::move(w));
     }
     return runCells(ptrs, engines, /*cacheable=*/true);
-}
-
-bool
-ExperimentDriver::runCellSegment(const std::string &workload_name,
-                                 const EngineSpec *engine,
-                                 std::size_t seg_begin,
-                                 std::size_t seg_end,
-                                 std::string *error)
-{
-    auto fail = [&](const std::string &text) {
-        if (error)
-            *error = text;
-        return false;
-    };
-    if (!store_ || !store_->usable())
-        return fail("segment execution requires an attached store");
-    std::unique_ptr<Workload> workload =
-        WorkloadRegistry::instance().make(workload_name);
-    if (!workload)
-        return fail("unknown workload '" + workload_name + "'");
-    const EngineRegistry &registry = EngineRegistry::instance();
-    if (engine && !registry.contains(engine->engine))
-        return fail("unknown engine '" + engine->engine + "'");
-
-    ScopedSpan span("cells.segment", "driver");
-    if (span.active()) {
-        span.arg("workload", workload_name);
-        span.arg("begin", static_cast<std::uint64_t>(seg_begin));
-        span.arg("end", static_cast<std::uint64_t>(seg_end));
-    }
-
-    Trace trace = materializeTrace(*workload, nullptr);
-    const std::size_t size = trace.size();
-    if (seg_end > size)
-        seg_end = size;
-    if (seg_begin >= seg_end)
-        return true; // nothing to advance
-    const std::size_t warmup =
-        effectiveWarmupRecords(config_, size);
-    const bool scientific =
-        workload->workloadClass() == WorkloadClass::kScientific;
-
-    SimParams sim_params;
-    sim_params.hierarchy = config_.system.hierarchy;
-    sim_params.enableTiming = config_.enableTiming;
-    sim_params.timing = config_.system.timing;
-
-    // The column's lanes, under the same checkpoint identities
-    // runCells uses (cell_ckpt_spec / cell_label there): resuming
-    // here finds a continuous run's checkpoints and vice versa.
-    std::vector<std::string> labels;
-    std::vector<std::uint64_t> lane_spec;
-    std::vector<std::function<std::unique_ptr<Prefetcher>()>>
-        factories;
-    if (!engine) {
-        labels.push_back("baseline");
-        lane_spec.push_back(storeDigest("cell:baseline:v1"));
-        factories.push_back(
-            [] { return std::unique_ptr<Prefetcher>(); });
-        if (config_.enableTiming) {
-            EngineOptions options;
-            options.scientific = scientific;
-            labels.push_back("stride");
-            lane_spec.push_back(
-                engineSpecDigest("stride", options));
-            factories.push_back([this, &registry, options] {
-                return registry.make("stride", config_.system,
-                                     options);
-            });
-        }
-    } else {
-        EngineOptions options = engine->options;
-        options.scientific = options.scientific || scientific;
-        labels.push_back(engine->resultLabel());
-        lane_spec.push_back(
-            engineSpecDigest(engine->engine, options));
-        const std::string name = engine->engine;
-        factories.push_back([this, &registry, name, options] {
-            return registry.make(name, config_.system, options);
-        });
-    }
-
-    // The shared boundary schedule plus any off-schedule resume
-    // candidates; all read-only by the time callbacks fire.
-    std::map<std::size_t, std::uint64_t> prefix_memo;
-    std::vector<std::size_t> bounds =
-        checkpointBounds(size, checkpointEvery_, segments_);
-    {
-        std::vector<std::uint64_t> digests =
-            tracePrefixDigests(trace, bounds);
-        for (std::size_t b = 0; b < bounds.size(); ++b)
-            prefix_memo[bounds[b]] = digests[b];
-        if (prefix_memo.find(seg_end) == prefix_memo.end())
-            prefix_memo[seg_end] =
-                tracePrefixDigests(trace, {seg_end})[0];
-    }
-
-    BatchSimulator sim;
-    std::vector<std::unique_ptr<Prefetcher>> lane_engines;
-    for (std::size_t k = 0; k < factories.size(); ++k) {
-        lane_engines.push_back(factories[k]());
-        sim.addLane(sim_params, lane_engines.back().get(), warmup);
-    }
-
-    // Per-lane trusted resume, capped at seg_end: the common case
-    // restores the predecessor segment's seg_begin checkpoint; a
-    // lane whose seg_end checkpoint already exists has nothing
-    // left to step.
-    std::size_t lanes_finished = 0;
-    for (std::size_t k = 0; k < lane_engines.size(); ++k) {
-        auto candidates = store_->listCheckpointIndices(
-            lane_spec[k], ckptConfigDigest_);
-        std::vector<std::size_t> usable;
-        for (std::uint64_t c : candidates)
-            if (c > 0 && c <= seg_end)
-                usable.push_back(static_cast<std::size_t>(c));
-        std::vector<std::size_t> missing;
-        for (std::size_t c : usable)
-            if (prefix_memo.find(c) == prefix_memo.end())
-                missing.push_back(c);
-        if (!missing.empty()) {
-            auto computed = tracePrefixDigests(trace, missing);
-            for (std::size_t m = 0; m < missing.size(); ++m)
-                prefix_memo[missing[m]] = computed[m];
-        }
-        std::size_t resume = 0;
-        std::sort(usable.begin(), usable.end());
-        for (std::size_t c = usable.size(); c-- > 0;) {
-            std::uint64_t state = checkpointStateDigest(
-                prefix_memo[usable[c]], usable[c], warmup);
-            auto blob = store_->loadCheckpoint(
-                lane_spec[k], ckptConfigDigest_, usable[c], state);
-            if (!blob)
-                continue;
-            std::uint64_t decoded = 0;
-            if (decodeCheckpoint(*blob, sim.simulator(k),
-                                 &decoded) &&
-                decoded == usable[c]) {
-                resume = usable[c];
-                break;
-            }
-            store_->dropCheckpoint(lane_spec[k], ckptConfigDigest_,
-                                   usable[c], state);
-            lane_engines[k] = factories[k]();
-            sim.rebuildLane(k, lane_engines[k].get());
-        }
-        if (resume > 0) {
-            resumedRuns_.fetch_add(1);
-            resumedRecordsSkipped_.fetch_add(resume);
-            driverMetrics().cellResumed.add();
-            driverMetrics().ckptSkippedRecords.add(resume);
-        }
-        if (resume == seg_end)
-            lanes_finished++;
-        sim.setLaneRange(k, resume, seg_end);
-        std::vector<std::size_t> lane_bounds;
-        for (std::size_t b : bounds)
-            if (b > resume && b < seg_end)
-                lane_bounds.push_back(b);
-        sim.setLaneBoundaries(k, std::move(lane_bounds));
-    }
-    if (lanes_finished == lane_engines.size())
-        return true; // the whole segment is already committed
-
-    // Interior boundaries fire through the boundary callback; the
-    // lane's own end index never does (runSegments convention), so
-    // the segment's deliverable — the seg_end checkpoint the
-    // successor unit resumes from — comes from the lane-end
-    // observer. Both run concurrently from lane worker threads.
-    auto write_ckpt = [&](std::size_t lane, std::size_t index,
-                          PrefetchSimulator &lane_sim) {
-        ScopedSpan write_span("ckpt.write", "ckpt");
-        if (write_span.active()) {
-            write_span.arg("lane",
-                           static_cast<std::uint64_t>(lane));
-            write_span.arg("index",
-                           static_cast<std::uint64_t>(index));
-        }
-        StoredCheckpointMeta meta;
-        meta.workload = workload->name();
-        meta.engine = labels[lane];
-        meta.index = index;
-        meta.warmup = warmup;
-        store_->putCheckpoint(
-            lane_spec[lane], ckptConfigDigest_, index,
-            checkpointStateDigest(prefix_memo.at(index), index,
-                                  warmup),
-            encodeCheckpoint(lane_sim, index), meta);
-        checkpointsWritten_.fetch_add(1);
-        driverMetrics().ckptWritten.add();
-    };
-    sim.setBoundaryCallback(write_ckpt);
-    sim.setLaneEndCallback(write_ckpt);
-
-    sim.runSegments(trace, jobs_);
-    return true;
 }
 
 std::vector<WorkloadResult>

@@ -132,7 +132,7 @@ class ExperimentDriver
      * knobs — and return results merged in the plan's (workload,
      * engine) order. Equivalent to applyPlan(plan) followed by
      * run(plan.workloads, planEngineSpecs(plan)); bitwise identical
-     * for any jobs/batch/segments/checkpointEvery policy.
+     * for any jobs/batch/checkpointEvery policy.
      */
     std::vector<WorkloadResult> run(const SweepPlan &plan);
 
@@ -163,28 +163,6 @@ class ExperimentDriver
     std::vector<WorkloadResult>
     run(const std::vector<std::string> &workloads,
         const std::vector<EngineSpec> &engines);
-
-    /**
-     * Distributed-segment entry point (net/units.hh): advance one
-     * cell column of `workload` across trace records
-     * [seg_begin, seg_end) only, producing no results — its sole
-     * deliverable is the checkpoints it persists, one at every
-     * schedule boundary it crosses and one at seg_end, under
-     * exactly the keys a continuous run writes. `engine` selects
-     * the column: null is the baseline column (the no-prefetch
-     * lane plus, under timing, the stride reference lane), non-null
-     * a single engine lane. Each lane first resumes from the
-     * newest trusted stored checkpoint at or before seg_end — a
-     * segment whose predecessor committed starts at seg_begin;
-     * with a cold store it recomputes from record 0 (slower, never
-     * wrong). Requires an attached usable store.
-     * @return false with *error set on store/workload/engine
-     *         lookup failures.
-     */
-    bool runCellSegment(const std::string &workload,
-                        const EngineSpec *engine,
-                        std::size_t seg_begin, std::size_t seg_end,
-                        std::string *error = nullptr);
 
     /** Sweep every registered workload (figure order). */
     std::vector<WorkloadResult>
@@ -266,7 +244,7 @@ class ExperimentDriver
     }
 
     /** Cell simulations that resumed from a stored checkpoint
-     *  instead of starting at record 0 (segmented execution). */
+     *  instead of starting at record 0 (checkpointed execution). */
     std::uint64_t resumedRuns() const { return resumedRuns_.load(); }
 
     /** Record-steps skipped by checkpoint resumes, summed over all
@@ -345,7 +323,6 @@ class ExperimentDriver
     /// Execution policy (SweepPlan semantics); applyPlan is the
     /// only writer.
     bool batching_ = true;
-    unsigned segments_ = 1;
     std::size_t checkpointEvery_ = 0;
     double heartbeatSeconds_ = 0.0;
     std::atomic<std::uint64_t> traceGenerations_{0};

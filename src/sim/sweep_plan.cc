@@ -11,11 +11,11 @@ namespace {
 
 constexpr std::uint32_t kPlanTag = stateTag('S', 'W', 'P', 'L');
 constexpr std::uint32_t kPlanEndTag = stateTag('S', 'W', 'P', 'E');
-// v2 added unit_granularity; v3 dropped a retired policy flag. Older
-// streams are rejected (the service already rejects cross-version
-// peers at the Hello stage, so a version skew here means something
-// worse than an old binary).
-constexpr std::uint32_t kPlanVersion = 3;
+// v2 added unit_granularity; v3 dropped a retired policy flag; v4
+// dropped the segment count. Older streams are rejected (the service
+// already rejects cross-version peers at the Hello stage, so a
+// version skew here means something worse than an old binary).
+constexpr std::uint32_t kPlanVersion = 4;
 
 std::string
 u64Token(std::uint64_t v)
@@ -223,8 +223,6 @@ unitGranularityName(UnitGranularity granularity)
     switch (granularity) {
     case UnitGranularity::kCell:
         return "cell";
-    case UnitGranularity::kSegment:
-        return "segment";
     case UnitGranularity::kWorkload:
     default:
         return "workload";
@@ -238,8 +236,6 @@ parseUnitGranularity(const std::string &text, UnitGranularity &out)
         out = UnitGranularity::kWorkload;
     else if (text == "cell")
         out = UnitGranularity::kCell;
-    else if (text == "segment")
-        out = UnitGranularity::kSegment;
     else
         return false;
     return true;
@@ -287,7 +283,6 @@ sweepPlanJson(const SweepPlan &plan)
     out += kSweepPlanSchema;
     out += "\"";
     out += ",\n  \"seed\": " + u64Token(plan.seed);
-    out += ",\n  \"segments\": " + u64Token(plan.segments);
     out += ",\n  \"timing\": ";
     out += boolToken(plan.timing);
     out += ",\n  \"unit_granularity\": \"";
@@ -352,7 +347,8 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                 return parseFail(error, "engines must be an array");
             for (const JsonValue &item : val.items) {
                 PlanEngine engine;
-                if (!parseEngine(item, engine, error))
+                if (!parseEngine(item, engine, error) ||
+                    !validEngineOptions(engine.options, error))
                     return false;
                 out.engines.push_back(std::move(engine));
             }
@@ -369,10 +365,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
         } else if (key == "seed") {
             if (!asU64(val, out.seed))
                 return parseFail(error, "bad seed");
-        } else if (key == "segments") {
-            if (!asU64(val, u))
-                return parseFail(error, "bad segments");
-            out.segments = static_cast<unsigned>(u);
         } else if (key == "timing") {
             if (!asBool(val, out.timing))
                 return parseFail(error, "bad timing");
@@ -432,7 +424,6 @@ encodeSweepPlan(const SweepPlan &plan)
     w.boolean(plan.timing);
     w.u32(plan.jobs);
     w.boolean(plan.batch);
-    w.u32(plan.segments);
     w.u64(plan.checkpointEvery);
     w.f64(plan.heartbeatSeconds);
     w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
@@ -442,24 +433,27 @@ encodeSweepPlan(const SweepPlan &plan)
 
 bool
 decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
-                SweepPlan &plan)
+                SweepPlan &plan, std::string *error)
 {
+    auto malformed = [error] {
+        return parseFail(error, "malformed binary plan");
+    };
     StateReader r(bytes.data(), bytes.size());
     r.tag(kPlanTag);
     if (r.u32() != kPlanVersion)
-        return false;
+        return parseFail(error, "unsupported binary plan version");
     SweepPlan out;
     // Corrupt counts fail via the per-element bounds checks (every
     // element is at least one byte, so a huge count cannot pass),
     // but bail out early on an obviously impossible one.
     std::uint64_t n = r.u64();
     if (n > bytes.size())
-        return false;
+        return malformed();
     for (std::uint64_t i = 0; i < n && r.ok(); ++i)
         out.workloads.push_back(readString(r));
     n = r.u64();
     if (n > bytes.size())
-        return false;
+        return malformed();
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         PlanEngine e;
         e.engine = readString(r);
@@ -488,6 +482,8 @@ decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
                 static_cast<unsigned>(r.u64());
         else
             r.u64();
+        if (r.ok() && !validEngineOptions(e.options, error))
+            return false;
         out.engines.push_back(std::move(e));
     }
     out.records = r.u64();
@@ -497,18 +493,32 @@ decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
     out.timing = r.boolean();
     out.jobs = r.u32();
     out.batch = r.boolean();
-    out.segments = r.u32();
     out.checkpointEvery = r.u64();
     out.heartbeatSeconds = r.f64();
     const std::uint8_t granularity = r.u8();
-    if (granularity >
-        static_cast<std::uint8_t>(UnitGranularity::kSegment))
-        return false;
+    if (granularity > static_cast<std::uint8_t>(UnitGranularity::kCell))
+        return malformed();
     out.unitGranularity = static_cast<UnitGranularity>(granularity);
     r.tag(kPlanEndTag);
     if (!r.atEnd())
-        return false;
+        return malformed();
     plan = std::move(out);
+    return true;
+}
+
+bool
+validEngineOptions(const EngineOptions &options, std::string *error)
+{
+    if (options.streamQueues && (*options.streamQueues < 1 ||
+                                 *options.streamQueues >
+                                     kMaxStreamQueues))
+        return parseFail(error,
+                         "stream_queues must be in 1.." +
+                             u64Token(kMaxStreamQueues) + ", got " +
+                             u64Token(*options.streamQueues));
+    if (options.bufferEntries && *options.bufferEntries < 1)
+        return parseFail(error, "buffer_entries must be at least 1, "
+                                "got 0");
     return true;
 }
 

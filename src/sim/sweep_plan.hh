@@ -16,7 +16,7 @@
  * Two codecs, both canonical:
  *  - JSON (sweepPlanJson / parseSweepPlanJson): key-sorted,
  *    mini_json conventions (`%.17g` doubles, exact u64 integers),
- *    schema-tagged "stems-sweep-plan-v2". Every field is always
+ *    schema-tagged "stems-sweep-plan-v3". Every field is always
  *    emitted (unset optional engine knobs as `null`), so two plans
  *    are equal iff their JSON bytes are equal, and the parser
  *    rejects unknown fields instead of guessing.
@@ -47,7 +47,7 @@
 namespace stems {
 
 /// Canonical JSON schema tag (also the digest domain prefix).
-inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v2";
+inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v3";
 
 /**
  * One engine column of a plan: a registered engine name, the label
@@ -72,11 +72,9 @@ enum class UnitGranularity : std::uint8_t
 {
     kWorkload = 0, ///< one unit = one workload row (the default)
     kCell = 1,     ///< one unit = one (workload, engine column) cell
-    kSegment = 2,  ///< one unit = one checkpoint-delimited slice of
-                   ///< a cell, per the segments/checkpointEvery policy
 };
 
-/** Canonical lower-case name ("workload" | "cell" | "segment"). */
+/** Canonical lower-case name ("workload" | "cell"). */
 const char *unitGranularityName(UnitGranularity granularity);
 
 /** Parse a canonical granularity name; false on anything else. */
@@ -110,15 +108,14 @@ struct SweepPlan
     /// Batched execution: one BatchSimulator pass per workload
     /// advances all its cold cells; off = one task per cell.
     bool batch = true;
-    /// Segmented execution: segment count (1 = off). Needs a store;
-    /// every cell checkpoints at each segment boundary and first
-    /// resumes from the newest stored checkpoint its trace prefix,
-    /// warmup boundary and engine spec match, so a re-run (or a run
-    /// extended to more records) simulates only the unseen suffix.
-    unsigned segments = 1;
-    /// Absolute checkpoint interval (0 = off; wins over segments).
-    /// Boundaries independent of the trace length are what let an
-    /// extended-records run find a shorter run's checkpoints.
+    /// Absolute checkpoint interval (0 = off). Needs a store; every
+    /// cell checkpoints at each multiple of it (and at the trace
+    /// end) and first resumes from the newest stored checkpoint its
+    /// trace prefix, warmup boundary and engine spec match, so a
+    /// re-run or a run extended to more records simulates only the
+    /// unseen suffix. Boundaries independent of the trace length
+    /// are what let an extended run find a shorter run's
+    /// checkpoints.
     std::uint64_t checkpointEvery = 0;
     /// Progress-heartbeat interval in seconds (0 = off): a monitor
     /// thread logs cells done/total and the record-step rate to
@@ -138,7 +135,9 @@ std::string sweepPlanJson(const SweepPlan &plan);
 /**
  * Parse the canonical JSON form. Strict: the schema tag must match,
  * unknown or type-mismatched fields at any level (plan, engine,
- * options) are rejected, and trailing garbage is an error.
+ * options) are rejected, engine options outside the range the
+ * engines can run (validEngineOptions) are rejected, and trailing
+ * garbage is an error.
  *
  * @param error  optional; receives a one-line reason on failure.
  * @return false (plan unspecified) on any error.
@@ -149,9 +148,20 @@ bool parseSweepPlanJson(const std::string &text, SweepPlan &plan,
 /** Binary wire form ('SWPL' state_codec stream). */
 std::vector<std::uint8_t> encodeSweepPlan(const SweepPlan &plan);
 
-/** Decode the binary wire form; false on any structural mismatch. */
+/** Decode the binary wire form; false on any structural mismatch
+ *  or out-of-range engine option (validEngineOptions), with a
+ *  one-line reason in *error when given. */
 bool decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
-                     SweepPlan &plan);
+                     SweepPlan &plan, std::string *error = nullptr);
+
+/**
+ * True when every set engine option is one the engines can run:
+ * stream_queues in 1..kMaxStreamQueues, buffer_entries at least 1.
+ * Both plan codecs apply it, since a plan may come from a file or
+ * off the wire. On failure *error names the field and its range.
+ */
+bool validEngineOptions(const EngineOptions &options,
+                        std::string *error = nullptr);
 
 /**
  * The ExperimentConfig a plan describes: Table 1 system plus the

@@ -42,7 +42,7 @@
  * re-generation of the same workload therefore still matches the
  * shorter run's checkpoints over their common prefix — which is what
  * makes extending a sweep's --records simulate only the new suffix
- * (sim/driver.hh segmented execution).
+ * (SweepPlan::checkpointEvery).
  *
  * Writes are atomic (temp file + rename), so concurrent processes
  * sharing a store directory at worst duplicate work, never corrupt

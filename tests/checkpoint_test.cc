@@ -13,7 +13,7 @@
  * Checkpoint payloads are also a pure function of logical state:
  * decode -> re-encode reproduces a blob byte for byte.
  *
- * On top of that sit the driver-level guarantees: segmented
+ * On top of that sit the driver-level guarantees: checkpointed
  * execution (checkpoint at every boundary, resume from the newest
  * match) is bitwise identical to a continuous run across
  * {jobs 1, 8} x {batched, unbatched} for every registered engine,
@@ -272,7 +272,7 @@ TEST(Checkpoint, ReencodeRoundTripIsByteIdenticalForEveryEngine)
     }
 }
 
-// ---- driver-level segmented execution ----
+// ---- driver-level checkpointed execution ----
 
 class SegmentedDriverTest : public test::TempDirTest
 {
@@ -281,8 +281,8 @@ class SegmentedDriverTest : public test::TempDirTest
 TEST_F(SegmentedDriverTest,
        SegmentedMatchesContinuousAcrossJobsAndBatchForEveryEngine)
 {
-    // The acceptance bar: for every registered engine, a segmented
-    // run (checkpoints written and, across combos, resumed) is
+    // The acceptance bar: for every registered engine, a
+    // checkpointed run (checkpoints written and, across combos, resumed) is
     // bitwise identical to a continuous storeless run, whatever the
     // jobs count and batching mode.
     std::vector<EngineSpec> engines;
@@ -300,25 +300,25 @@ TEST_F(SegmentedDriverTest,
             SCOPED_TRACE("jobs " + std::to_string(jobs) +
                          (batch ? " batched" : " unbatched"));
             // A fresh store per combo keeps every cell cold, so the
-            // segmented execution path itself runs each time.
+            // checkpointed execution path itself runs each time.
             std::string dir =
                 dir_ + "_combo" + std::to_string(combo++);
             SweepPlan plan = configPlan(cfg, jobs);
             plan.batch = batch;
-            plan.segments = 4;
-            ExperimentDriver segmented;
-            segmented.applyPlan(plan);
-            segmented.setStore(
+            plan.checkpointEvery = 7500;
+            ExperimentDriver checkpointed;
+            checkpointed.applyPlan(plan);
+            checkpointed.setStore(
                 std::make_shared<TraceStore>(dir));
-            auto results = segmented.run({"dss-qry17"}, engines);
-            EXPECT_GT(segmented.checkpointsWritten(), 0u);
+            auto results = checkpointed.run({"dss-qry17"}, engines);
+            EXPECT_GT(checkpointed.checkpointsWritten(), 0u);
             // Even within one cold sweep a resume can legitimately
             // happen: the stride *baseline* cell and the stride
             // *engine* cell share a checkpoint identity (same
             // simulation), so whichever runs second may reuse the
             // first one's end-of-trace checkpoint when the
             // dispatch order serializes them.
-            EXPECT_LE(segmented.resumedRuns(), 1u);
+            EXPECT_LE(checkpointed.resumedRuns(), 1u);
             expectSameResults(expected, results);
             std::filesystem::remove_all(dir);
         }
@@ -338,7 +338,7 @@ TEST_F(SegmentedDriverTest, SecondSegmentedRunResumesFromCheckpoints)
     };
 
     SweepPlan plan = configPlan(cfg, 2);
-    plan.segments = 3;
+    plan.checkpointEvery = 7000;
     ExperimentDriver first;
     first.applyPlan(plan);
     first.setStore(std::make_shared<TraceStore>(dir_));
@@ -419,7 +419,7 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
     };
 
     SweepPlan plan = configPlan(cfg, 2);
-    plan.segments = 2;
+    plan.checkpointEvery = 10000;
     ExperimentDriver first;
     first.applyPlan(plan);
     first.setStore(std::make_shared<TraceStore>(dir_));
@@ -446,20 +446,20 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
 
 TEST_F(SegmentedDriverTest, CheckpointsNeedAStore)
 {
-    // Without a store, segment settings are inert: the run stays
-    // continuous and bitwise identical.
+    // Without a store, a checkpoint interval is inert: the run
+    // stays continuous and bitwise identical.
     std::vector<EngineSpec> engines = engineSpecs({"sms"});
     ExperimentConfig cfg = smallConfig(false, 20000);
     ExperimentDriver plain(cfg, 2);
     auto expected = plain.run({"dss-qry17"}, engines);
 
     SweepPlan plan = configPlan(cfg, 2);
-    plan.segments = 4;
-    ExperimentDriver segmented;
-    segmented.applyPlan(plan);
-    auto results = segmented.run({"dss-qry17"}, engines);
-    EXPECT_EQ(segmented.checkpointsWritten(), 0u);
-    EXPECT_EQ(segmented.resumedRuns(), 0u);
+    plan.checkpointEvery = 5000;
+    ExperimentDriver checkpointed;
+    checkpointed.applyPlan(plan);
+    auto results = checkpointed.run({"dss-qry17"}, engines);
+    EXPECT_EQ(checkpointed.checkpointsWritten(), 0u);
+    EXPECT_EQ(checkpointed.resumedRuns(), 0u);
     expectSameResults(expected, results);
 }
 

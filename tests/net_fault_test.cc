@@ -1,10 +1,10 @@
 /**
  * @file
- * Fault-injection battery for the finer-grained distributed work
- * units (net/units.hh): decomposition properties (every record of
- * every cell covered exactly once at every granularity, segment
- * endpoints aligned with the checkpoint schedule, dependency chains
- * cleared by a warm store), and the end-to-end contract that a
+ * Fault-injection battery for the distributed work units
+ * (net/units.hh): decomposition properties (every cell covered
+ * exactly once at every granularity, resume bookkeeping that tracks
+ * the store's committed checkpoints), and the end-to-end contract
+ * that a
  * coordinator plus workers — through worker churn, mid-frame
  * disconnects, duplicate completions, stalled units and
  * reconnect-resume — always produces results bitwise identical to a
@@ -29,10 +29,10 @@
 #include "net/units.hh"
 #include "net/worker.hh"
 #include "obs/metrics.hh"
-#include "sim/checkpoint.hh"
 #include "sim/driver.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
+#include "workloads/registry.hh"
 
 namespace stems {
 namespace {
@@ -84,9 +84,41 @@ class NetFaultTest : public test::TempDirTest
         std::uint64_t resumed = 0;
     };
 
-    /** One distributed sweep in a fresh store subdirectory: decompose
-     *  (seeding the store when the plan asks for segment units),
-     *  serve to the given workers, merge over the warm store. */
+    /** The store subdirectory a scenario tagged `tag` runs in. */
+    std::string
+    storeDir(const std::string &tag) const
+    {
+        return dir_ + "/" + tag;
+    }
+
+    /** A one-workload cell-unit plan whose checkpoints carry over
+     *  between record counts: absolute warmup, so the simulated
+     *  prefix is the same at any length. */
+    SweepPlan
+    resumePlan() const
+    {
+        SweepPlan plan = planFor(UnitGranularity::kCell, {"oltp-db2"});
+        plan.warmupRecords = 5'000;
+        return plan;
+    }
+
+    /** Leave `tag`'s store as an earlier sweep of the same plan at
+     *  half the length does: the trace prefix's checkpoints on the
+     *  shared schedule, up to the shorter trace's end. */
+    void
+    seedHalfLength(const SweepPlan &plan, const std::string &tag)
+    {
+        SweepPlan half = plan;
+        half.records = plan.records / 2;
+        std::filesystem::create_directories(storeDir(tag));
+        ExperimentDriver driver;
+        driver.setStore(std::make_shared<TraceStore>(storeDir(tag)));
+        driver.run(half);
+    }
+
+    /** One distributed sweep in the store subdirectory `tag`: serve
+     *  the plan's units to the given workers, merge over the warm
+     *  store. */
     ScenarioResult
     runScenario(const SweepPlan &plan, const std::string &tag,
                 std::vector<WorkerOptions> workers,
@@ -94,16 +126,14 @@ class NetFaultTest : public test::TempDirTest
                 double unit_timeout_seconds = 0.0)
     {
         ScenarioResult out;
-        const std::string store_dir = dir_ + "/" + tag;
+        const std::string store_dir = storeDir(tag);
         std::filesystem::create_directories(store_dir);
         auto store = std::make_shared<TraceStore>(store_dir);
         EXPECT_TRUE(store->usable());
 
         std::string error;
-        std::vector<WorkUnit> units =
-            decomposeSweepPlan(plan, store.get(), &error);
-        EXPECT_FALSE(units.empty()) << error;
-        SweepCoordinator coord(plan, std::move(units));
+        SweepCoordinator coord(plan);
+        EXPECT_GT(coord.unitCount(), 0u);
         coord.setResumeGraceSeconds(grace_seconds);
         coord.setUnitTimeoutSeconds(unit_timeout_seconds);
         EXPECT_TRUE(coord.listen(0, &error)) << error;
@@ -200,23 +230,21 @@ TEST_F(NetFaultTest, WorkloadAndCellDecompositionCoverExactlyOnce)
         planFor(UnitGranularity::kWorkload,
                 {"oltp-db2", "web-apache", "em3d"});
 
-    auto whole = decomposeSweepPlan(base, nullptr);
+    auto whole = decomposeSweepPlan(base);
     ASSERT_EQ(whole.size(), base.workloads.size());
     for (std::size_t i = 0; i < whole.size(); ++i) {
         EXPECT_EQ(whole[i].kind, UnitKind::kWorkload);
         EXPECT_EQ(whole[i].workload, base.workloads[i]);
-        EXPECT_EQ(whole[i].dependsOn, -1);
     }
 
     SweepPlan cell_plan = base;
     cell_plan.unitGranularity = UnitGranularity::kCell;
-    auto cells = decomposeSweepPlan(cell_plan, nullptr);
+    auto cells = decomposeSweepPlan(cell_plan);
     // One unit per (workload, column), columns = baseline + each
     // engine, each pair exactly once.
     std::map<std::pair<std::string, std::int32_t>, int> seen;
     for (const WorkUnit &u : cells) {
         EXPECT_EQ(u.kind, UnitKind::kCell);
-        EXPECT_EQ(u.dependsOn, -1);
         seen[{u.workload, u.column}]++;
     }
     EXPECT_EQ(cells.size(),
@@ -229,133 +257,55 @@ TEST_F(NetFaultTest, WorkloadAndCellDecompositionCoverExactlyOnce)
                 << w << " column " << c;
 }
 
-TEST_F(NetFaultTest, SegmentDecompositionTilesEveryCellOnSchedule)
+TEST_F(NetFaultTest, ResumeBookkeepingTracksCommittedCheckpoints)
 {
-    const SweepPlan plan = planFor(UnitGranularity::kSegment,
-                                   {"oltp-db2", "em3d"});
-    std::filesystem::create_directories(dir_);
-    TraceStore store(dir_);
-    std::string error;
-    auto units = decomposeSweepPlan(plan, &store, &error);
-    ASSERT_FALSE(units.empty()) << error;
+    const SweepPlan plan = resumePlan();
+    const auto units = decomposeSweepPlan(plan);
+    ASSERT_EQ(units.size(), 1 + plan.engines.size());
+    std::filesystem::create_directories(storeDir("bookkeeping"));
+    auto store = std::make_shared<TraceStore>(storeDir("bookkeeping"));
 
-    for (const std::string &name : plan.workloads) {
-        // The seeding pass materialized the trace; its true length
-        // (generators may overshoot plan.records) fixes the
-        // boundary schedule.
-        Trace trace;
-        ASSERT_TRUE(store.loadTrace(
-            TraceKey{name, plan.records, plan.seed}, trace));
-        const auto bounds = checkpointBounds(
-            trace.size(),
-            static_cast<std::size_t>(plan.checkpointEvery),
-            plan.segments);
-        ASSERT_GE(bounds.size(), 2u); // interior cuts exist
+    // The worker resumes a unit it was executing, so the unit's
+    // trace is already in the store by then.
+    const TraceKey key{"oltp-db2", plan.records, plan.seed};
+    const Trace trace =
+        WorkloadRegistry::instance().make("oltp-db2")->generate(
+            plan.seed, static_cast<std::size_t>(plan.records));
+    ASSERT_TRUE(store->putTrace(key, trace));
 
-        for (std::int32_t c = -1;
-             c < static_cast<std::int32_t>(plan.engines.size());
-             ++c) {
-            std::vector<const WorkUnit *> chain;
-            for (const WorkUnit &u : units)
-                if (u.workload == name && u.column == c)
-                    chain.push_back(&u);
-            ASSERT_EQ(chain.size(), bounds.size())
-                << name << " column " << c;
-            std::uint64_t at = 0;
-            for (std::size_t s = 0; s < chain.size(); ++s) {
-                const WorkUnit &u = *chain[s];
-                EXPECT_EQ(u.kind, UnitKind::kSegment);
-                // Contiguous tiling: no gap, no overlap, ending
-                // exactly at the trace end.
-                EXPECT_EQ(u.segBegin, at);
-                EXPECT_EQ(u.segEnd, bounds[s]);
-                EXPECT_EQ(u.finalSegment,
-                          s + 1 == chain.size());
-                // Cold store: every non-first segment waits for
-                // its predecessor's boundary checkpoint.
-                if (s == 0)
-                    EXPECT_EQ(u.dependsOn, -1);
-                else
-                    EXPECT_GE(u.dependsOn, 0);
-                at = u.segEnd;
-            }
-            EXPECT_EQ(at, trace.size());
-        }
-    }
-}
+    // Cold store: nothing committed, nothing to resume from.
+    for (const WorkUnit &u : units)
+        EXPECT_EQ(unitLastCheckpointIndex(plan, u, *store), 0u)
+            << "column " << u.column;
 
-TEST_F(NetFaultTest, WarmStoreClearsSegmentDependencies)
-{
-    const SweepPlan plan =
-        planFor(UnitGranularity::kSegment, {"oltp-db2"});
-    std::filesystem::create_directories(dir_);
-    auto store = std::make_shared<TraceStore>(dir_);
-    std::string error;
-    auto cold = decomposeSweepPlan(plan, store.get(), &error);
-    ASSERT_FALSE(cold.empty()) << error;
-    bool any_dep = false;
-    for (const WorkUnit &u : cold)
-        any_dep = any_dep || u.dependsOn >= 0;
-    EXPECT_TRUE(any_dep);
+    // A half-length sweep committed checkpoints up to its own
+    // trace end, which is a prefix of this trace: every cell
+    // reports exactly that end, the newest trusted checkpoint.
+    seedHalfLength(plan, "bookkeeping");
+    const std::size_t half_size =
+        WorkloadRegistry::instance()
+            .make("oltp-db2")
+            ->generate(plan.seed,
+                       static_cast<std::size_t>(plan.records / 2))
+            .size();
+    ASSERT_LT(half_size, trace.size());
+    for (const WorkUnit &u : units)
+        EXPECT_EQ(unitLastCheckpointIndex(plan, u, *store), half_size)
+            << "column " << u.column;
 
-    // A full local run persists a trusted checkpoint at every
-    // boundary of every lane; re-decomposing over that warm store
-    // must find them and emit a fully parallel (dependency-free)
-    // unit set.
+    // After the full sweep the newest is the trace end, never
+    // anything beyond it; a whole-workload unit spans many cells
+    // and always reports 0.
     ExperimentDriver driver;
     driver.setStore(store);
     driver.run(plan);
-    auto warm = decomposeSweepPlan(plan, store.get(), &error);
-    ASSERT_EQ(warm.size(), cold.size());
-    for (const WorkUnit &u : warm)
-        EXPECT_EQ(u.dependsOn, -1)
-            << u.workload << " [" << u.segBegin << ", " << u.segEnd
-            << ")";
-}
-
-TEST_F(NetFaultTest, ResumeBookkeepingTracksCommittedCheckpoints)
-{
-    const SweepPlan plan =
-        planFor(UnitGranularity::kSegment, {"oltp-db2"});
-    std::filesystem::create_directories(dir_);
-    auto store = std::make_shared<TraceStore>(dir_);
-    std::string error;
-    auto units = decomposeSweepPlan(plan, store.get(), &error);
-    ASSERT_FALSE(units.empty()) << error;
-
-    // The baseline column's chain, in order.
-    std::vector<const WorkUnit *> chain;
     for (const WorkUnit &u : units)
-        if (u.workload == "oltp-db2" && u.column == -1)
-            chain.push_back(&u);
-    ASSERT_GE(chain.size(), 3u);
-
-    // Cold store: nothing committed, nothing to resume from.
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[0], *store), 0u);
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[1], *store), 0u);
-
-    ExperimentDriver driver;
-    driver.applyPlan(plan);
-    driver.setStore(store);
-    ASSERT_TRUE(driver.runCellSegment(
-        "oltp-db2", nullptr,
-        static_cast<std::size_t>(chain[0]->segBegin),
-        static_cast<std::size_t>(chain[0]->segEnd), &error))
-        << error;
-
-    // Unit 0 committed its end checkpoint: a resume of unit 0
-    // reports exactly its end (nothing left to redo), unit 1
-    // exactly its start (it can skip the whole prefix but has not
-    // advanced), and later units the same index — the newest
-    // committed state, never anything beyond a unit's own end, so
-    // the skip accounting cannot double-count records past the
-    // unit.
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[0], *store),
-              chain[0]->segEnd);
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[1], *store),
-              chain[1]->segBegin);
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[2], *store),
-              chain[0]->segEnd);
+        EXPECT_EQ(unitLastCheckpointIndex(plan, u, *store),
+                  trace.size())
+            << "column " << u.column;
+    WorkUnit whole;
+    whole.workload = "oltp-db2";
+    EXPECT_EQ(unitLastCheckpointIndex(plan, whole, *store), 0u);
 }
 
 // ---- fault matrix, one granularity per test ----------------------
@@ -370,23 +320,18 @@ TEST_F(NetFaultTest, FaultMatrixCellUnits)
     runFaultMatrix(UnitGranularity::kCell);
 }
 
-TEST_F(NetFaultTest, FaultMatrixSegmentUnits)
-{
-    runFaultMatrix(UnitGranularity::kSegment);
-}
-
 // ---- targeted fault scenarios ------------------------------------
 
 TEST_F(NetFaultTest, ReconnectResumeSkipsCommittedPrefix)
 {
-    // One worker, segment units over one workload: the worker
-    // completes the first segment, drops the connection while
-    // holding the second, stalls, reconnects under its session and
-    // resumes — from the checkpoint the first segment committed,
-    // not from record 0.
-    const SweepPlan plan =
-        planFor(UnitGranularity::kSegment, {"oltp-db2"});
+    // One worker, cell units over a store an earlier half-length
+    // sweep left checkpoints in: the worker completes the first
+    // cell, drops the connection while holding the second, stalls,
+    // reconnects under its session and resumes — from the
+    // committed checkpoint, not from record 0.
+    const SweepPlan plan = resumePlan();
     const auto reference = referenceRun(plan);
+    seedHalfLength(plan, "resume-metrics");
 
     WorkerOptions dropper;
     dropper.dropAfterUnits = 1;

@@ -23,6 +23,7 @@
 #include "net/worker.hh"
 #include "obs/metrics.hh"
 #include "sim/driver.hh"
+#include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
 
@@ -192,11 +193,8 @@ sampleUnit()
     UnitMsg unit;
     unit.unitIndex = 3;
     unit.workload = "oltp-db2";
-    unit.kind = UnitKind::kSegment;
+    unit.kind = UnitKind::kCell;
     unit.column = 1;
-    unit.segBegin = 10'000;
-    unit.segEnd = 20'000;
-    unit.finalSegment = true;
     unit.prefetchWorkload = "web-apache";
     return unit;
 }
@@ -230,11 +228,8 @@ TEST(Protocol, PayloadsRoundTrip)
     ASSERT_TRUE(decodeUnit(encodeUnit(unit), unit2));
     EXPECT_EQ(unit2.unitIndex, 3u);
     EXPECT_EQ(unit2.workload, "oltp-db2");
-    EXPECT_EQ(unit2.kind, UnitKind::kSegment);
+    EXPECT_EQ(unit2.kind, UnitKind::kCell);
     EXPECT_EQ(unit2.column, 1);
-    EXPECT_EQ(unit2.segBegin, 10'000u);
-    EXPECT_EQ(unit2.segEnd, 20'000u);
-    EXPECT_TRUE(unit2.finalSegment);
     EXPECT_EQ(unit2.prefetchWorkload, "web-apache");
 
     // The baseline column (-1) survives the biased encoding.
@@ -458,6 +453,34 @@ class NetSweepTest : public test::TempDirTest
         return driver.run(plan);
     }
 
+    /** Greet a coordinator with a Hello at `version`: true when
+     *  it answers with a definite kBye. */
+    bool
+    helloGetsBye(std::uint32_t version)
+    {
+        SweepCoordinator coord(smallPlan({"oltp-db2"}));
+        std::string error;
+        EXPECT_TRUE(coord.listen(0, &error)) << error;
+
+        bool got_bye = false;
+        std::thread peer([&] {
+            int fd =
+                connectWithRetry("127.0.0.1", coord.port(), 5.0);
+            ASSERT_GE(fd, 0);
+            FramedConn conn(fd);
+            HelloMsg hello;
+            hello.version = version;
+            ASSERT_TRUE(
+                conn.sendFrame(kMsgHello, encodeHello(hello)));
+            Frame frame;
+            if (conn.recvFrame(frame))
+                got_bye = frame.type == kMsgBye;
+        });
+        EXPECT_FALSE(coord.serve(2.0, &error));
+        peer.join();
+        return got_bye;
+    }
+
     /** Serve `plan` to the given worker option sets (one thread
      *  each), then merge over the warm store. */
     std::vector<WorkloadResult>
@@ -608,30 +631,71 @@ TEST_F(NetSweepTest, OldWorkerHelloIsRefusedWithCleanBye)
     EXPECT_TRUE(peer_done);
     EXPECT_TRUE(got_bye);
     EXPECT_EQ(coord.unitsCompleted(), 0u);
+
+    // A v3 peer greets with the current Hello layout but expects
+    // segment units; it must be turned away, not handed v4 units.
+    EXPECT_TRUE(helloGetsBye(3));
 }
 
 TEST_F(NetSweepTest, FutureVersionHelloIsRefusedWithCleanBye)
 {
-    const SweepPlan plan = smallPlan({"oltp-db2"});
-    SweepCoordinator coord(plan);
-    std::string error;
-    ASSERT_TRUE(coord.listen(0, &error)) << error;
+    EXPECT_TRUE(helloGetsBye(kNetProtocolVersion + 7));
+}
 
-    bool got_bye = false;
-    std::thread peer([&] {
-        int fd = connectWithRetry("127.0.0.1", coord.port(), 5.0);
-        ASSERT_GE(fd, 0);
-        FramedConn conn(fd);
-        HelloMsg hello;
-        hello.version = kNetProtocolVersion + 7;
-        ASSERT_TRUE(conn.sendFrame(kMsgHello, encodeHello(hello)));
-        Frame frame;
-        if (conn.recvFrame(frame))
-            got_bye = frame.type == kMsgBye;
-    });
-    EXPECT_FALSE(coord.serve(2.0, &error));
-    peer.join();
-    EXPECT_TRUE(got_bye);
+TEST_F(NetSweepTest, WorkerRejectsOutOfRangeEngineOptionsOffTheWire)
+{
+    // A coordinator is outside input to a worker: engine options no
+    // engine can run (stream ids pack the queue index into 4 bits; a
+    // zero-entry buffer divides by zero) must fail the plan with a
+    // message naming the field, never reach an engine.
+    std::filesystem::create_directories(dir_);
+    TraceStore seed(dir_); // materialize a usable store directory
+    struct Case
+    {
+        const char *field;
+        EngineOptions options;
+    };
+    std::vector<Case> cases(3);
+    cases[0].field = "stream_queues";
+    cases[0].options.streamQueues = 0;
+    cases[1].field = "stream_queues";
+    cases[1].options.streamQueues = 17;
+    cases[2].field = "buffer_entries";
+    cases[2].options.bufferEntries = 0;
+    for (const Case &c : cases) {
+        SweepPlan plan = smallPlan({"oltp-db2"});
+        plan.engines = {PlanEngine{"tms", "", c.options}};
+
+        TcpListener listener;
+        std::string error;
+        ASSERT_TRUE(listener.open(0, &error)) << error;
+        std::thread coord([&] {
+            int fd = -1;
+            while (fd < 0)
+                fd = listener.accept();
+            FramedConn conn(fd);
+            Frame hello;
+            if (!conn.recvFrame(hello))
+                return;
+            PlanMsg msg;
+            msg.planJson = sweepPlanJson(plan);
+            msg.planDigest = sweepPlanDigest(plan);
+            msg.sessionId = 1;
+            conn.sendFrame(kMsgPlan, encodePlanMsg(msg));
+            Frame rest; // wait for the worker to hang up
+            conn.recvFrame(rest);
+        });
+
+        WorkerOptions worker;
+        worker.storeDir = dir_;
+        worker.port = listener.port();
+        worker.connectTimeoutSeconds = 2.0;
+        std::string worker_error;
+        EXPECT_FALSE(runWorker(worker, nullptr, &worker_error));
+        EXPECT_NE(worker_error.find(c.field), std::string::npos)
+            << worker_error;
+        coord.join();
+    }
 }
 
 TEST_F(NetSweepTest, OldCoordinatorClosingOnHelloFailsCleanlyNoHang)

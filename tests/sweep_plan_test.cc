@@ -42,10 +42,9 @@ fullPlan()
     plan.timing = true;
     plan.jobs = 3;
     plan.batch = false;
-    plan.segments = 4;
     plan.checkpointEvery = 5'000;
     plan.heartbeatSeconds = 1.5;
-    plan.unitGranularity = UnitGranularity::kSegment;
+    plan.unitGranularity = UnitGranularity::kCell;
     return plan;
 }
 
@@ -74,14 +73,15 @@ TEST(SweepPlanJson, DigestIsPinned)
     // Pinned across releases: a digest change means the canonical
     // JSON changed, which invalidates every wire/plan-file digest
     // comparison in flight. Bump deliberately or not at all. Last
-    // bumped for stems-sweep-plan-v2, which dropped a policy flag.
+    // bumped for stems-sweep-plan-v3, which dropped the segment
+    // count.
     SweepPlan plan;
     plan.workloads = {"oltp-db2"};
     plan.engines = {PlanEngine{"stems", "", {}}};
     plan.records = 100'000;
     const std::uint64_t digest = sweepPlanDigest(plan);
     EXPECT_EQ(digest, sweepPlanDigest(plan)) << "digest unstable";
-    EXPECT_EQ(digest, UINT64_C(0xc8cff9a8ef591950));
+    EXPECT_EQ(digest, UINT64_C(0xc84db3b7f2b2ee40));
 }
 
 TEST(SweepPlanJson, RejectsUnknownFields)
@@ -131,6 +131,57 @@ TEST(SweepPlanJson, RejectsSchemaDriftAndTrailingContent)
     EXPECT_FALSE(parseSweepPlanJson("[]", out));
 }
 
+/** Engine options as outside input may set them, and whether the
+ *  engines can run them (stream ids pack the queue index into 4
+ *  bits; a zero-entry buffer divides by zero). */
+struct OptionCase
+{
+    const char *field;
+    std::size_t value;
+    bool valid;
+    const char *range; ///< what the error must say, when invalid
+};
+
+const OptionCase kOptionCases[] = {
+    {"stream_queues", 0, false, "1..16"},
+    {"stream_queues", 17, false, "1..16"},
+    {"buffer_entries", 0, false, "at least 1"},
+    {"stream_queues", 1, true, ""},
+    {"stream_queues", 16, true, ""},
+};
+
+SweepPlan
+planWithOption(const OptionCase &c)
+{
+    SweepPlan plan;
+    plan.workloads = {"oltp-db2"};
+    PlanEngine engine{"stems", "", {}};
+    if (std::string(c.field) == "stream_queues")
+        engine.options.streamQueues = c.value;
+    else
+        engine.options.bufferEntries = c.value;
+    plan.engines = {engine};
+    return plan;
+}
+
+TEST(SweepPlanJson, RejectsEngineOptionsEnginesCannotRun)
+{
+    for (const OptionCase &c : kOptionCases) {
+        SCOPED_TRACE(std::string(c.field) + " = " +
+                     std::to_string(c.value));
+        SweepPlan out;
+        std::string error;
+        EXPECT_EQ(parseSweepPlanJson(sweepPlanJson(planWithOption(c)),
+                                     out, &error),
+                  c.valid)
+            << error;
+        if (!c.valid) {
+            EXPECT_NE(error.find(c.field), std::string::npos) << error;
+            EXPECT_NE(error.find(c.range), std::string::npos) << error;
+        }
+    }
+}
+
 /** The policy flag that plan format v1 carried and v2 dropped. Spelled
  *  in pieces so source searches for the retired mode find only
  *  history. */
@@ -176,6 +227,41 @@ v1PlanJson()
 )";
 }
 
+/** A plan exactly as the v2 JSON codec wrote it, segment units and
+ *  all. */
+const char *const kV2PlanJson = R"({
+  "batch": true,
+  "checkpoint_every": 500,
+  "engines": [
+    {
+      "engine": "stems",
+      "label": "",
+      "options": {
+        "buffer_entries": null,
+        "displacement_window": null,
+        "lookahead": null,
+        "scientific": false,
+        "sms_use_counters": null,
+        "stream_queues": null
+      }
+    }
+  ],
+  "heartbeat_seconds": 0,
+  "jobs": 1,
+  "records": 1000,
+  "schema": "stems-sweep-plan-v2",
+  "seed": 42,
+  "segments": 1,
+  "timing": false,
+  "unit_granularity": "segment",
+  "warmup_fraction": 0.5,
+  "warmup_records": 0,
+  "workloads": [
+    "oltp-db2"
+  ]
+}
+)";
+
 TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
 {
     SweepPlan out;
@@ -195,12 +281,15 @@ TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
     EXPECT_FALSE(parseSweepPlanJson(reordered, out, &error));
     EXPECT_NE(error.find("schema"), std::string::npos) << error;
 
-    // Re-tagged as the current schema, the retired flag is just an
+    // Re-tagged as the current schema, without the segment count
+    // v3 dropped (the v2 case below), the retired flag is just an
     // unknown field.
     std::string retagged = v1;
     retagged.replace(retagged.find("stems-sweep-plan-v1"),
                      std::string(kSweepPlanSchema).size(),
                      kSweepPlanSchema);
+    const std::string segments_line = "  \"segments\": 1,\n";
+    retagged.erase(retagged.find(segments_line), segments_line.size());
     error.clear();
     EXPECT_FALSE(parseSweepPlanJson(retagged, out, &error));
     EXPECT_NE(error.find(kRetiredFlag), std::string::npos) << error;
@@ -212,14 +301,45 @@ TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
     error.clear();
     EXPECT_TRUE(parseSweepPlanJson(retagged, out, &error)) << error;
     EXPECT_EQ(out.records, 1000u);
+
+    // The v2 codec's plans fail the same way, whatever they carry.
+    const std::string v2 = kV2PlanJson;
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(v2, out, &error));
+    EXPECT_NE(error.find("schema"), std::string::npos) << error;
+    EXPECT_NE(error.find(kSweepPlanSchema), std::string::npos)
+        << error;
+
+    // Re-tagged as the current schema, the segment count is an
+    // unknown field and the segment granularity an unknown name.
+    retagged = v2;
+    retagged.replace(retagged.find("stems-sweep-plan-v2"),
+                     std::string(kSweepPlanSchema).size(),
+                     kSweepPlanSchema);
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(retagged, out, &error));
+    EXPECT_NE(error.find("segments"), std::string::npos) << error;
+    retagged.erase(retagged.find(segments_line), segments_line.size());
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(retagged, out, &error));
+    EXPECT_NE(error.find("unit_granularity"), std::string::npos)
+        << error;
+
+    // With cell units instead, the same document parses.
+    const std::string segment = "\"segment\"";
+    retagged.replace(retagged.find(segment), segment.size(),
+                     "\"cell\"");
+    error.clear();
+    EXPECT_TRUE(parseSweepPlanJson(retagged, out, &error)) << error;
+    EXPECT_EQ(out.checkpointEvery, 500u);
+    EXPECT_EQ(out.unitGranularity, UnitGranularity::kCell);
 }
 
 TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
 {
     SweepPlan plan;
     for (UnitGranularity g :
-         {UnitGranularity::kWorkload, UnitGranularity::kCell,
-          UnitGranularity::kSegment}) {
+         {UnitGranularity::kWorkload, UnitGranularity::kCell}) {
         plan.unitGranularity = g;
         SweepPlan reparsed;
         std::string error;
@@ -234,15 +354,17 @@ TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
         EXPECT_EQ(parsed, g);
     }
 
-    std::string doctored = sweepPlanJson(plan);
-    const std::string name = "\"segment\"";
-    doctored.replace(doctored.find(name), name.size(),
-                     "\"per-epoch\"");
-    SweepPlan out;
-    EXPECT_FALSE(parseSweepPlanJson(doctored, out));
+    const std::string name = "\"cell\"";
+    for (const char *unknown : {"\"per-epoch\"", "\"segment\""}) {
+        std::string doctored = sweepPlanJson(plan);
+        doctored.replace(doctored.find(name), name.size(), unknown);
+        SweepPlan out;
+        EXPECT_FALSE(parseSweepPlanJson(doctored, out)) << unknown;
+    }
 
     UnitGranularity parsed;
     EXPECT_FALSE(parseUnitGranularity("per-epoch", parsed));
+    EXPECT_FALSE(parseUnitGranularity("segment", parsed));
 }
 
 TEST(SweepPlanBinary, RoundTripsExactly)
@@ -273,14 +395,33 @@ TEST(SweepPlanBinary, RejectsTruncationAnywhere)
     EXPECT_FALSE(decodeSweepPlan(extended, decoded));
 }
 
+TEST(SweepPlanBinary, RejectsEngineOptionsEnginesCannotRun)
+{
+    for (const OptionCase &c : kOptionCases) {
+        SCOPED_TRACE(std::string(c.field) + " = " +
+                     std::to_string(c.value));
+        SweepPlan out;
+        std::string error;
+        EXPECT_EQ(decodeSweepPlan(encodeSweepPlan(planWithOption(c)),
+                                  out, &error),
+                  c.valid)
+            << error;
+        if (!c.valid) {
+            EXPECT_NE(error.find(c.field), std::string::npos) << error;
+            EXPECT_NE(error.find(c.range), std::string::npos) << error;
+        }
+    }
+}
+
 /**
- * A binary plan in the layout the older codec versions wrote, for an
- * empty plan with default knobs: `retired_flag` emits the policy
- * byte versions up to 2 carried between checkpointEvery and
- * heartbeatSeconds (v1 also lacked the trailing granularity byte).
+ * A binary plan for an empty plan with default knobs, stamped with
+ * `version` but laid out the way codec version `layout` wrote it:
+ * up to v3 a u32 segment count sat between batch and
+ * checkpointEvery; up to v2 a retired policy byte followed
+ * checkpointEvery; v1 also lacked the trailing granularity byte.
  */
 std::vector<std::uint8_t>
-legacyPlanBytes(std::uint32_t version, bool retired_flag)
+legacyPlanBytes(std::uint32_t version, std::uint32_t layout)
 {
     const SweepPlan plan;
     StateWriter w;
@@ -295,12 +436,13 @@ legacyPlanBytes(std::uint32_t version, bool retired_flag)
     w.boolean(plan.timing);
     w.u32(plan.jobs);
     w.boolean(plan.batch);
-    w.u32(plan.segments);
+    if (layout <= 3)
+        w.u32(1); // segment count: off
     w.u64(plan.checkpointEvery);
-    if (retired_flag)
+    if (layout <= 2)
         w.boolean(true);
     w.f64(plan.heartbeatSeconds);
-    if (version >= 2)
+    if (layout >= 2)
         w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
     w.tag(stateTag('S', 'W', 'P', 'E'));
     return w.take();
@@ -308,29 +450,30 @@ legacyPlanBytes(std::uint32_t version, bool retired_flag)
 
 TEST(SweepPlanBinary, RejectsOlderVersions)
 {
-    // The hand-built layout is the real one: without the retired
-    // byte and at the current version it matches the encoder.
+    // The hand-built layout is the real one: exactly one version
+    // stamped over its own layout matches the encoder.
     const std::vector<std::uint8_t> current = encodeSweepPlan(SweepPlan{});
     SweepPlan decoded;
-    std::uint32_t version = 0;
+    std::uint32_t version = 1;
     for (; version < 16; ++version)
-        if (legacyPlanBytes(version, false) == current)
+        if (legacyPlanBytes(version, version) == current)
             break;
     ASSERT_LT(version, 16u) << "no version reproduces the encoder";
+    EXPECT_EQ(version, 4u);
     ASSERT_TRUE(decodeSweepPlan(current, decoded));
 
     for (std::uint32_t old = 1; old < version; ++old) {
         SCOPED_TRACE("version " + std::to_string(old));
-        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(old, true),
+        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(old, old),
                                      decoded));
         // Not even a stream that only carries an old version number
         // over the current layout.
-        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(old, false),
+        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(old, version),
+                                     decoded));
+        // Nor an old layout under the current version number.
+        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(version, old),
                                      decoded));
     }
-    // Nor the old layout under the current version number.
-    EXPECT_FALSE(
-        decodeSweepPlan(legacyPlanBytes(version, true), decoded));
 }
 
 TEST(SweepPlanDriver, RunPlanMatchesLegacySetterPath)

@@ -42,10 +42,10 @@
  *               [--port P] [--serve-timeout S] [--resume-grace S]
  *               [--unit-timeout S]
  *       Same plan, distributed: listen for `stems_trace worker`
- *       processes, hand out work units — whole workload rows,
- *       (workload, engine) cells, or checkpoint segments of a cell
- *       per --unit-granularity — over the framed TCP protocol
- *       (src/net/), and after every unit has completed merge by
+ *       processes, hand out work units — whole workload rows or
+ *       (workload, engine) cells per --unit-granularity — over
+ *       the framed TCP protocol (src/net/), and after every unit
+ *       has completed merge by
  *       running the plan locally over the shared (now warm) store.
  *       A dropped worker's unit stays reserved --resume-grace
  *       seconds for a reconnect-resume before it is requeued; the
@@ -781,26 +781,15 @@ cmdServe(int argc, char **argv)
     }
     printPlanBanner(plan);
 
-    // Decompose up front: at segment granularity this is the
-    // seeding pass — traces land in the store and the unit
-    // boundaries come off the real trace lengths. The same store
-    // the workers and the merge use, so stale contents only ever
-    // cost scheduling freedom, never correctness.
-    auto store = std::make_shared<TraceStore>(opts.storeDir);
-    std::string error;
-    if (!store->usable()) {
+    // Fail before listening: workers and the merge share this store.
+    if (!TraceStore(opts.storeDir).usable()) {
         std::fprintf(stderr, "serve: cannot open store '%s'\n",
                      opts.storeDir.c_str());
         return 1;
     }
-    std::vector<WorkUnit> units =
-        decomposeSweepPlan(plan, store.get(), &error);
-    if (units.empty() && !plan.workloads.empty()) {
-        std::fprintf(stderr, "serve: %s\n", error.c_str());
-        return 1;
-    }
 
-    SweepCoordinator coord(plan, std::move(units));
+    std::string error;
+    SweepCoordinator coord(plan);
     coord.setResumeGraceSeconds(svc.resumeGrace);
     coord.setUnitTimeoutSeconds(
         svc.unitTimeout >= 0.0 ? svc.unitTimeout
