@@ -7,7 +7,7 @@
  * documents the cost model of the repository's execution paths, not
  * a result from the paper.
  *
- * Usage: micro_batch [records] [--records N] [--seed N] [--jobs N]
+ * Usage: micro_batch [records] [--records N] [--seed N]
  *                    [--workloads w] [--engines x,y] [--help]
  * The first selected workload provides the trace; the engine list
  * provides the lanes (default: every registered engine plus a
@@ -148,8 +148,7 @@ main(int argc, char **argv)
     double single_s = seconds(t0, t1);
 
     // ---- one batched N-engine pass: decode once ----
-    unsigned lane_jobs = ExperimentDriver::resolveJobs(opts.jobs);
-    auto run_batched = [&](unsigned jobs) {
+    auto run_batched = [&] {
         auto src = open_source();
         BatchSimulator sim;
         std::vector<std::unique_ptr<Prefetcher>> engines;
@@ -158,7 +157,7 @@ main(int argc, char **argv)
             sim.addLane(sim_params, engines.back().get(), warmup);
         }
         auto b0 = std::chrono::steady_clock::now();
-        sim.run(*src, jobs);
+        sim.run(*src);
         auto b1 = std::chrono::steady_clock::now();
         // The batch must reproduce every single pass bitwise.
         for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -172,9 +171,7 @@ main(int argc, char **argv)
         }
         return seconds(b0, b1);
     };
-    double batch_serial_s = run_batched(1);
-    double batch_parallel_s =
-        lane_jobs > 1 ? run_batched(lane_jobs) : batch_serial_s;
+    double batch_s = run_batched();
 
     std::filesystem::remove(trc);
 
@@ -187,12 +184,8 @@ main(int argc, char **argv)
                 "single-engine passes (xN)", single_s,
                 work / single_s);
     std::printf("%-34s %8.3f s  %12.0f rec/s  (%.2fx)\n",
-                "batched pass, serial lanes", batch_serial_s,
-                work / batch_serial_s, single_s / batch_serial_s);
-    std::printf("%-34s %8.3f s  %12.0f rec/s  (%.2fx, %u threads)\n",
-                "batched pass, parallel lanes", batch_parallel_s,
-                work / batch_parallel_s,
-                single_s / batch_parallel_s, lane_jobs);
+                "batched pass", batch_s, work / batch_s,
+                single_s / batch_s);
     obs.finish();
     return 0;
 }

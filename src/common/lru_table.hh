@@ -24,6 +24,11 @@
  * in tests/reference_lru_table.hh): first invalid way, else the
  * lowest-stamp way, first-index tie-break; the serialized state is
  * byte-identical as well.
+ *
+ * The set-index policy is a template parameter: predictor tables
+ * hash their structured keys (HashedSetIndex, the default), while
+ * the cache model (mem/cache.hh) indexes by block number modulo the
+ * set count (ModuloSetIndex), as a hardware cache does.
  */
 
 #ifndef STEMS_COMMON_LRU_TABLE_HH
@@ -36,13 +41,46 @@
 
 namespace stems {
 
+/** `x mod sets`, with a mask when the set count is a power of two
+ *  (the common geometry; the branch is perfectly predicted). */
+inline std::size_t
+reduceToSet(std::uint64_t x, std::size_t sets)
+{
+    return (sets & (sets - 1)) == 0
+               ? static_cast<std::size_t>(x & (sets - 1))
+               : static_cast<std::size_t>(x % sets);
+}
+
+/** Set index of a multiplicatively hashed key: spreads structured
+ *  keys (PC+offset concatenations) across sets. */
+struct HashedSetIndex
+{
+    static std::size_t
+    index(std::uint64_t key, std::size_t sets)
+    {
+        return reduceToSet((key * 0x9e3779b97f4a7c15ULL) >> 32, sets);
+    }
+};
+
+/** Set index of a block number: its low bits, as in a cache. */
+struct ModuloSetIndex
+{
+    static std::size_t
+    index(std::uint64_t key, std::size_t sets)
+    {
+        return reduceToSet(key, sets);
+    }
+};
+
 /**
  * A set-associative table mapping a 64-bit key to a value, with
  * per-set LRU replacement.
  *
- * @tparam V  value type; must be default-constructible.
+ * @tparam V         value type; must be default-constructible.
+ * @tparam SetIndex  set-index policy (HashedSetIndex or
+ *                   ModuloSetIndex).
  */
-template <typename V>
+template <typename V, typename SetIndex = HashedSetIndex>
 class LruTable
 {
   public:
@@ -87,29 +125,44 @@ class LruTable
         return i == kNone ? nullptr : &values_[i];
     }
 
+    /** Where emplace() left a key. */
+    struct Emplaced
+    {
+        V &value;
+        bool inserted; ///< false: the key was already resident
+    };
+
     /**
      * Find or insert (default-constructed) a value; promotes to MRU.
+     * One pass over the set finds the key or, failing that, the
+     * victim way.
      *
      * When insertion evicts a valid victim, the callback is invoked
      * with the victim's key and value before it is destroyed. The
      * callback is a template parameter (not std::function) so the
      * common empty/lambda cases inline.
-     *
-     * @return reference to the (possibly new) value.
      */
+    template <typename OnEvict>
+    Emplaced
+    emplace(std::uint64_t key, OnEvict &&on_evict)
+    {
+        Probe p = probe(key);
+        if (!p.hit) {
+            if (lru_[p.slot])
+                on_evict(keys_[p.slot], values_[p.slot]);
+            keys_[p.slot] = key;
+            values_[p.slot] = V();
+        }
+        touch(p.slot);
+        return {values_[p.slot], !p.hit};
+    }
+
+    /** emplace(), returning just the (possibly new) value. */
     template <typename OnEvict>
     V &
     findOrInsert(std::uint64_t key, OnEvict &&on_evict)
     {
-        if (V *v = find(key))
-            return *v;
-        std::size_t i = victimIndex(key);
-        if (lru_[i])
-            on_evict(keys_[i], values_[i]);
-        keys_[i] = key;
-        values_[i] = V();
-        touch(i);
-        return values_[i];
+        return emplace(key, on_evict).value;
     }
 
     /** findOrInsert without an eviction observer. */
@@ -156,11 +209,28 @@ class LruTable
                 fn(keys_[i], values_[i]);
     }
 
+    /** forEach over a const table. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < lru_.size(); ++i)
+            if (lru_[i])
+                fn(keys_[i], values_[i]);
+    }
+
+    /** Number of sets. */
+    std::size_t sets() const { return sets_; }
+
+    /** Associativity. */
+    std::size_t ways() const { return ways_; }
+
+    /** The recency clock (the newest stamp handed out). */
+    std::uint64_t clock() const { return clock_; }
+
     /**
-     * Serialize the full table state (checkpointing). Slot positions
-     * are preserved exactly: which way of a set holds an entry decides
-     * future victim scans, so positional identity is part of the
-     * behavioural state.
+     * Serialize the full table state (checkpointing): geometry, clock
+     * and saveSlots().
      *
      * @param save_value  (Writer &, const V &) serializer for values.
      */
@@ -171,19 +241,13 @@ class LruTable
         w.u64(ways_);
         w.u64(sets_);
         w.u64(clock_);
-        for (std::size_t i = 0; i < lru_.size(); ++i) {
-            w.boolean(lru_[i] != 0);
-            if (lru_[i]) {
-                w.u64(keys_[i]);
-                w.u64(lru_[i]);
-                save_value(w, values_[i]);
-            }
-        }
+        saveSlots(w, save_value);
     }
 
     /**
      * Restore state written by saveState into a table of identical
-     * geometry (fails the reader otherwise).
+     * geometry (fails the reader otherwise, or on any slot that
+     * loadSlots() rejects).
      *
      * @param load_value  (Reader &, V &) deserializer for values.
      */
@@ -195,7 +259,44 @@ class LruTable
             r.fail();
             return;
         }
-        clock_ = r.u64();
+        std::uint64_t clock = r.u64();
+        loadSlots(r, clock, load_value);
+    }
+
+    /**
+     * Serialize every slot, without geometry or clock (owners that
+     * frame the table in their own header use this). Slot positions
+     * are preserved exactly: which way of a set holds an entry
+     * decides future victim scans, so positional identity is part of
+     * the behavioural state. Per slot: a validity flag, then for a
+     * valid slot its key, its stamp and the value.
+     */
+    template <typename Writer, typename SaveFn>
+    void
+    saveSlots(Writer &w, SaveFn &&save_value) const
+    {
+        for (std::size_t i = 0; i < lru_.size(); ++i) {
+            w.boolean(lru_[i] != 0);
+            if (lru_[i]) {
+                w.u64(keys_[i]);
+                w.u64(lru_[i]);
+                save_value(w, values_[i]);
+            }
+        }
+    }
+
+    /**
+     * Restore slots written by saveSlots, with `clock` as the saved
+     * recency clock. A payload no live table could have produced
+     * fails the reader instead of being misdecoded: a valid slot
+     * whose key belongs to another set, a key resident twice in one
+     * set, or a stamp of 0 (the invalid marker) or above the clock.
+     */
+    template <typename Reader, typename LoadFn>
+    void
+    loadSlots(Reader &r, std::uint64_t clock, LoadFn &&load_value)
+    {
+        clock_ = clock;
         for (std::size_t i = 0; i < lru_.size(); ++i) {
             bool valid = r.boolean();
             keys_[i] = 0;
@@ -205,6 +306,8 @@ class LruTable
                 keys_[i] = r.u64();
                 lru_[i] = r.u64();
                 load_value(r, values_[i]);
+                if (!validSlot(i))
+                    r.fail();
             }
             if (!r.ok())
                 return;
@@ -214,18 +317,16 @@ class LruTable
   private:
     static constexpr std::size_t kNone = ~std::size_t{0};
 
-    std::size_t setIndex(std::uint64_t key) const
+    std::size_t
+    setBase(std::uint64_t key) const
     {
-        // Multiplicative hash spreads structured keys (PC+offset
-        // concatenations) across sets.
-        return static_cast<std::size_t>(
-            (key * 0x9e3779b97f4a7c15ULL) >> 32) % sets_;
+        return SetIndex::index(key, sets_) * ways_;
     }
 
     std::size_t
     findIndex(std::uint64_t key) const
     {
-        std::size_t base = setIndex(key) * ways_;
+        std::size_t base = setBase(key);
         for (std::size_t w = 0; w < ways_; ++w) {
             std::size_t i = base + w;
             if (keys_[i] == key && lru_[i])
@@ -234,8 +335,16 @@ class LruTable
         return kNone;
     }
 
-    std::size_t
-    victimIndex(std::uint64_t key) const
+    /** The slot holding `key` (hit), else the slot an insert of it
+     *  would fill. */
+    struct Probe
+    {
+        std::size_t slot;
+        bool hit;
+    };
+
+    Probe
+    probe(std::uint64_t key) const
     {
         // An invalid way holds stamp 0, strictly older than any valid
         // entry (touch() stamps from 1), so one strict-< min scan
@@ -244,16 +353,35 @@ class LruTable
         // ternaries compile to conditional moves; a branching
         // running-min mispredicts on random recency order, which
         // measured 3-4x slower on full sets.
-        std::size_t base = setIndex(key) * ways_;
+        std::size_t base = setBase(key);
         std::size_t victim = base;
         std::uint64_t victim_stamp = lru_[base];
-        for (std::size_t w = 1; w < ways_; ++w) {
-            std::uint64_t stamp = lru_[base + w];
+        for (std::size_t w = 0; w < ways_; ++w) {
+            std::size_t i = base + w;
+            std::uint64_t stamp = lru_[i];
+            if (keys_[i] == key && stamp)
+                return {i, true};
             bool older = stamp < victim_stamp;
-            victim = older ? base + w : victim;
+            victim = older ? i : victim;
             victim_stamp = older ? stamp : victim_stamp;
         }
-        return victim;
+        return {victim, false};
+    }
+
+    /** Whether freshly loaded valid slot `i` is one a live table
+     *  could hold (see loadSlots). */
+    bool
+    validSlot(std::size_t i) const
+    {
+        if (lru_[i] == 0 || lru_[i] > clock_)
+            return false;
+        std::size_t base = i - i % ways_;
+        if (setBase(keys_[i]) != base)
+            return false;
+        for (std::size_t j = base; j < i; ++j)
+            if (lru_[j] && keys_[j] == keys_[i])
+                return false;
+        return true;
     }
 
     void touch(std::size_t i) { lru_[i] = ++clock_; }

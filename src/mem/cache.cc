@@ -5,124 +5,83 @@
 
 namespace stems {
 
-Cache::Cache(std::string name, std::size_t size_bytes, std::size_t ways)
-    : name_(std::move(name)), ways_(ways)
+namespace {
+
+std::size_t
+checkedBlocks(const std::string &name, std::size_t size_bytes,
+              std::size_t ways)
 {
     if (ways == 0 || size_bytes == 0)
-        fatal("cache " + name_ + ": zero size or associativity");
+        fatal("cache " + name + ": zero size or associativity");
     std::size_t blocks = size_bytes / kBlockBytes;
     if (blocks % ways != 0)
-        fatal("cache " + name_ + ": size not divisible by ways");
-    sets_ = blocks / ways;
-    lines_.resize(blocks);
+        fatal("cache " + name + ": size not divisible by ways");
+    return blocks;
 }
 
-Cache::Line *
-Cache::findLine(Addr a)
+} // namespace
+
+Cache::Cache(std::string name, std::size_t size_bytes, std::size_t ways)
+    : name_(std::move(name)),
+      lines_(checkedBlocks(name_, size_bytes, ways), ways)
 {
-    Addr tag = blockNumber(a);
-    std::size_t base = setIndex(a) * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag)
-            return &l;
-    }
-    return nullptr;
 }
 
-const Cache::Line *
-Cache::findLine(Addr a) const
-{
-    Addr tag = blockNumber(a);
-    std::size_t base = setIndex(a) * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        const Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag)
-            return &l;
-    }
-    return nullptr;
-}
-
-bool
-Cache::access(Addr a)
+Cache::Lookup
+Cache::lookup(Addr a)
 {
     ++accesses_;
-    Line *l = findLine(a);
-    if (!l) {
+    std::uint8_t *flags = lines_.find(blockNumber(a));
+    if (!flags) {
         ++misses_;
-        return false;
+        return Lookup::kMiss;
     }
-    l->lru = ++clock_;
-    l->referenced = true;
-    return true;
+    bool covered = *flags == kPrefetched;
+    *flags |= kReferenced;
+    return covered ? Lookup::kPrefetchHit : Lookup::kHit;
 }
 
 bool
 Cache::contains(Addr a) const
 {
-    return findLine(a) != nullptr;
+    return lines_.peek(blockNumber(a)) != nullptr;
 }
 
 std::optional<Cache::Victim>
 Cache::insert(Addr a, bool prefetched)
 {
-    Line *l = findLine(a);
-    if (l) {
-        // Refill of a resident block: refresh recency only.
-        l->lru = ++clock_;
-        return std::nullopt;
-    }
-
-    std::size_t base = setIndex(a) * ways_;
-    Line *victim = &lines_[base];
-    for (std::size_t w = 0; w < ways_; ++w) {
-        Line &cand = lines_[base + w];
-        if (!cand.valid) {
-            victim = &cand;
-            break;
-        }
-        if (cand.lru < victim->lru)
-            victim = &cand;
-    }
-
+    // A refill of a resident block refreshes its recency only.
     std::optional<Victim> displaced;
-    if (victim->valid) {
-        displaced = Victim{victim->tag << kBlockShift,
-                           victim->prefetched, victim->referenced};
-    }
-    victim->valid = true;
-    victim->tag = blockNumber(a);
-    victim->lru = ++clock_;
-    victim->prefetched = prefetched;
-    victim->referenced = false;
+    auto slot = lines_.emplace(
+        blockNumber(a), [&](std::uint64_t block, std::uint8_t flags) {
+            displaced = Victim{block << kBlockShift,
+                               (flags & kPrefetched) != 0,
+                               (flags & kReferenced) != 0};
+        });
+    if (slot.inserted)
+        slot.value = prefetched ? kPrefetched : 0;
     return displaced;
 }
 
 std::optional<Cache::Victim>
 Cache::invalidate(Addr a)
 {
-    Line *l = findLine(a);
-    if (!l)
+    const std::uint8_t *flags = lines_.peek(blockNumber(a));
+    if (!flags)
         return std::nullopt;
-    Victim v{l->tag << kBlockShift, l->prefetched, l->referenced};
-    l->valid = false;
+    Victim v{blockAlign(a), (*flags & kPrefetched) != 0,
+             (*flags & kReferenced) != 0};
+    lines_.erase(blockNumber(a));
     return v;
-}
-
-bool
-Cache::isPrefetchedUnreferenced(Addr a) const
-{
-    const Line *l = findLine(a);
-    return l && l->prefetched && !l->referenced;
 }
 
 std::size_t
 Cache::unreferencedPrefetches() const
 {
     std::size_t n = 0;
-    for (const Line &l : lines_)
-        if (l.valid && l.prefetched && !l.referenced)
-            ++n;
+    lines_.forEach([&n](std::uint64_t, std::uint8_t flags) {
+        n += flags == kPrefetched;
+    });
     return n;
 }
 
@@ -134,47 +93,35 @@ void
 Cache::saveState(StateWriter &w) const
 {
     w.tag(kCacheTag);
-    w.u64(sets_);
-    w.u64(ways_);
-    w.u64(clock_);
+    w.u64(lines_.sets());
+    w.u64(lines_.ways());
+    w.u64(lines_.clock());
     w.u64(accesses_);
     w.u64(misses_);
     // Line positions within a set decide future victim scans, so
     // every line is written positionally, invalid ones included.
-    for (const Line &l : lines_) {
-        w.boolean(l.valid);
-        if (!l.valid)
-            continue;
-        w.u64(l.tag);
-        w.u64(l.lru);
-        w.boolean(l.prefetched);
-        w.boolean(l.referenced);
-    }
+    lines_.saveSlots(w, [](StateWriter &out, std::uint8_t flags) {
+        out.boolean(flags & kPrefetched);
+        out.boolean(flags & kReferenced);
+    });
 }
 
 void
 Cache::loadState(StateReader &r)
 {
     r.tag(kCacheTag);
-    if (r.u64() != sets_ || r.u64() != ways_) {
+    if (r.u64() != lines_.sets() || r.u64() != lines_.ways()) {
         r.fail();
         return;
     }
-    clock_ = r.u64();
+    std::uint64_t clock = r.u64();
     accesses_ = r.u64();
     misses_ = r.u64();
-    for (Line &l : lines_) {
-        l = Line{};
-        l.valid = r.boolean();
-        if (!l.valid)
-            continue;
-        l.tag = r.u64();
-        l.lru = r.u64();
-        l.prefetched = r.boolean();
-        l.referenced = r.boolean();
-        if (!r.ok())
-            return;
-    }
+    lines_.loadSlots(r, clock, [](StateReader &in, std::uint8_t &flags) {
+        flags = in.boolean() ? kPrefetched : 0;
+        if (in.boolean())
+            flags |= kReferenced;
+    });
 }
 
 } // namespace stems

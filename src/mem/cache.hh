@@ -4,18 +4,20 @@
  * and eviction/invalidation callbacks.
  *
  * This is a functional (hit/miss) model: it tracks tags and metadata,
- * not data. Timing is layered on separately by src/sim/timing.
+ * not data. Timing is layered on separately by src/sim/timing. The
+ * lines live in an LruTable (common/lru_table.hh) keyed by block
+ * number, indexed modulo the set count, with a one-byte flags value
+ * per line.
  */
 
 #ifndef STEMS_MEM_CACHE_HH
 #define STEMS_MEM_CACHE_HH
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/lru_table.hh"
 #include "common/types.hh"
 
 namespace stems {
@@ -35,6 +37,9 @@ class Cache
         Addr addr = 0;        ///< block-aligned address evicted
         bool prefetched = false; ///< block was filled by a prefetch
         bool referenced = false; ///< block was demand-referenced
+
+        /** A prefetched block leaving unused: an overprediction. */
+        bool unusedPrefetch() const { return prefetched && !referenced; }
     };
 
     /**
@@ -47,13 +52,24 @@ class Cache
      */
     Cache(std::string name, std::size_t size_bytes, std::size_t ways);
 
+    /** Outcome of a demand lookup. */
+    enum class Lookup : std::uint8_t
+    {
+        kMiss,
+        kHit,
+        /** Hit on a block a prefetch filled that was never demand
+         *  referenced before: the prefetch covered this access. */
+        kPrefetchHit,
+    };
+
     /**
-     * Demand lookup. Promotes the block to MRU and marks it referenced
-     * on hit. Does not allocate.
-     *
-     * @return true on hit.
+     * Demand lookup, in one probe of the set. Promotes the block to
+     * MRU and marks it referenced on hit. Does not allocate.
      */
-    bool access(Addr a);
+    Lookup lookup(Addr a);
+
+    /** Demand lookup (see lookup). @return true on hit. */
+    bool access(Addr a) { return lookup(a) != Lookup::kMiss; }
 
     /** Non-destructive presence check (no LRU update). */
     bool contains(Addr a) const;
@@ -75,22 +91,16 @@ class Cache
     std::optional<Victim> invalidate(Addr a);
 
     /**
-     * True when the block is present, was filled by a prefetch, and
-     * has not yet been demand-referenced.
-     */
-    bool isPrefetchedUnreferenced(Addr a) const;
-
-    /**
      * Number of resident blocks filled by prefetches and never
      * demand-referenced (end-of-run overprediction sweep).
      */
     std::size_t unreferencedPrefetches() const;
 
     /** Number of sets. */
-    std::size_t numSets() const { return sets_; }
+    std::size_t numSets() const { return lines_.sets(); }
 
     /** Associativity. */
-    std::size_t numWays() const { return ways_; }
+    std::size_t numWays() const { return lines_.ways(); }
 
     /** Name given at construction. */
     const std::string &name() const { return name_; }
@@ -109,30 +119,14 @@ class Cache
     void loadState(StateReader &r);
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0; ///< block number
-        std::uint64_t lru = 0;
-        bool prefetched = false;
-        bool referenced = false;
-    };
-
-    std::size_t setIndex(Addr a) const
-    {
-        return static_cast<std::size_t>(blockNumber(a)) % sets_;
-    }
-
-    Line *findLine(Addr a);
-    const Line *findLine(Addr a) const;
+    /// Per-line flag bits (the table's value lane).
+    static constexpr std::uint8_t kPrefetched = 1;
+    static constexpr std::uint8_t kReferenced = 2;
 
     std::string name_;
-    std::size_t ways_;
-    std::size_t sets_;
-    std::uint64_t clock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
-    std::vector<Line> lines_;
+    LruTable<std::uint8_t, ModuloSetIndex> lines_; ///< block number -> flags
 };
 
 } // namespace stems

@@ -17,12 +17,51 @@ Hierarchy::accessL1(Addr a)
 Hierarchy::L2Result
 Hierarchy::accessL2(Addr a)
 {
-    L2Result r;
-    r.coveredByPrefetch = l2_.isPrefetchedUnreferenced(a);
-    r.hit = l2_.access(a);
-    if (!r.hit)
-        r.coveredByPrefetch = false;
-    return r;
+    Cache::Lookup l = l2_.lookup(a);
+    return {l != Cache::Lookup::kMiss, l == Cache::Lookup::kPrefetchHit};
+}
+
+L2Outcome
+stepL2(Cache &l2, Addr a, bool invalidate)
+{
+    L2Outcome o;
+    std::optional<Cache::Victim> v;
+    if (invalidate) {
+        v = l2.invalidate(blockAlign(a));
+    } else {
+        Cache::Lookup l = l2.lookup(a);
+        o.hit = l != Cache::Lookup::kMiss;
+        o.covered = l == Cache::Lookup::kPrefetchHit;
+        if (!o.hit)
+            v = l2.insert(blockAlign(a));
+    }
+    if (v && v->unusedPrefetch()) {
+        o.dropped = true;
+        o.dropAddr = v->addr;
+    }
+    return o;
+}
+
+DemandOutcome
+Hierarchy::step(Addr a, bool invalidate, bool with_l2)
+{
+    DemandOutcome o;
+    std::optional<Cache::Victim> v;
+    if (invalidate) {
+        v = l1_.invalidate(blockAlign(a));
+    } else {
+        o.l1Hit = l1_.access(a);
+        if (o.l1Hit)
+            return o;
+        v = l1_.insert(blockAlign(a));
+    }
+    if (v) {
+        o.l1Evicted = true;
+        o.l1Victim = v->addr;
+    }
+    if (with_l2)
+        o.l2 = stepL2(l2_, a, invalidate);
+    return o;
 }
 
 void
@@ -35,7 +74,7 @@ Hierarchy::handleL1Victim(const std::optional<Cache::Victim> &v)
 void
 Hierarchy::handleL2Victim(const std::optional<Cache::Victim> &v)
 {
-    if (v && v->prefetched && !v->referenced && l2PrefetchDrop_)
+    if (v && v->unusedPrefetch() && l2PrefetchDrop_)
         l2PrefetchDrop_(v->addr);
 }
 
@@ -61,12 +100,11 @@ Hierarchy::fillPrefetchL2(Addr a)
 void
 Hierarchy::invalidate(Addr a)
 {
-    if (auto v = l1_.invalidate(blockAlign(a)); v && l1Evict_)
-        l1Evict_(v->addr);
-    if (auto v = l2_.invalidate(blockAlign(a));
-        v && v->prefetched && !v->referenced && l2PrefetchDrop_) {
-        l2PrefetchDrop_(v->addr);
-    }
+    DemandOutcome o = step(a, /*invalidate=*/true, /*with_l2=*/true);
+    if (o.l1Evicted && l1Evict_)
+        l1Evict_(o.l1Victim);
+    if (o.l2.dropped && l2PrefetchDrop_)
+        l2PrefetchDrop_(o.l2.dropAddr);
 }
 
 void

@@ -27,6 +27,40 @@ enum class HitLevel : std::uint8_t
     kMemory = 3, ///< off-chip
 };
 
+/** What one record did to an L2. */
+struct L2Outcome
+{
+    bool hit = false;
+    /** Hit on a block a prefetcher filled that was never demand
+     *  referenced before: the prefetch covered this miss. */
+    bool covered = false;
+    /** An unreferenced prefetched block left the L2 (displaced by
+     *  the demand fill, or invalidated): an overprediction. */
+    bool dropped = false;
+    Addr dropAddr = 0;
+};
+
+/**
+ * Apply one record's demand traffic to an L2: an invalidation drops
+ * the block; any other record (which missed in the L1) looks the
+ * block up and fills it on a miss. Every L2 in the simulator evolves
+ * through this one function, so a shared demand L2 and a lane's
+ * private copy stay interchangeable.
+ */
+L2Outcome stepL2(Cache &l2, Addr a, bool invalidate);
+
+/** What one record did to the hierarchy (Hierarchy::step). */
+struct DemandOutcome
+{
+    bool l1Hit = false;
+    /** A block left the L1: the fill's victim, or the invalidated
+     *  block. */
+    bool l1Evicted = false;
+    Addr l1Victim = 0;
+    /** The L2's outcome; left empty when the step skipped the L2. */
+    L2Outcome l2;
+};
+
 /** Default hierarchy geometry (paper Table 1). */
 struct HierarchyParams
 {
@@ -62,6 +96,15 @@ class Hierarchy
 
     /** L1 demand lookup (promote/reference on hit). @return hit? */
     bool accessL1(Addr a);
+
+    /**
+     * One record through both levels in the simulator's demand
+     * order (L1 lookup; on a miss, L2 lookup and fill; invalidations
+     * drop the block from both), reporting what happened instead of
+     * invoking the callbacks. With `with_l2` false the L2 is left
+     * untouched and the outcome's L2 part stays empty.
+     */
+    DemandOutcome step(Addr a, bool invalidate, bool with_l2);
 
     /** Result of an L2 demand lookup. */
     struct L2Result

@@ -6,77 +6,78 @@
 namespace stems {
 
 StreamedValueBuffer::StreamedValueBuffer(std::size_t capacity)
-    : slots_(capacity)
+    : addr_(capacity, kFreeAddr),
+      lru_(capacity, 0),
+      streamId_(capacity, -1),
+      readyTime_(capacity, 0)
 {
     if (capacity == 0)
         fatal("SVB capacity must be > 0");
 }
 
-StreamedValueBuffer::Slot *
-StreamedValueBuffer::findSlot(Addr a)
+std::size_t
+StreamedValueBuffer::find(Addr key) const
 {
-    Addr key = blockAlign(a);
-    for (Slot &s : slots_)
-        if (s.valid && s.entry.addr == key)
-            return &s;
-    return nullptr;
+    for (std::size_t i = 0; i < addr_.size(); ++i)
+        if (addr_[i] == key)
+            return i;
+    return kNone;
 }
 
-const StreamedValueBuffer::Slot *
-StreamedValueBuffer::findSlot(Addr a) const
+StreamedValueBuffer::Entry
+StreamedValueBuffer::release(std::size_t i)
 {
-    Addr key = blockAlign(a);
-    for (const Slot &s : slots_)
-        if (s.valid && s.entry.addr == key)
-            return &s;
-    return nullptr;
+    Entry e{addr_[i], streamId_[i], readyTime_[i]};
+    addr_[i] = kFreeAddr;
+    lru_[i] = 0;
+    return e;
 }
 
 std::optional<StreamedValueBuffer::Entry>
 StreamedValueBuffer::insert(const Entry &e)
 {
-    Entry norm = e;
-    norm.addr = blockAlign(e.addr);
-
-    if (Slot *resident = findSlot(norm.addr)) {
-        resident->entry = norm;
-        resident->lru = ++clock_;
-        return std::nullopt;
-    }
-
-    Slot *victim = nullptr;
-    for (Slot &s : slots_) {
-        if (!s.valid) {
-            victim = &s;
+    // One pass finds a resident copy or the victim: a free slot's
+    // stamp 0 is older than any live one, so the strict-< running
+    // minimum picks the first free slot, else the first-index LRU.
+    const Addr key = blockAlign(e.addr);
+    std::size_t slot = 0;
+    std::uint64_t slot_stamp = lru_[0];
+    bool resident = false;
+    for (std::size_t i = 0; i < lru_.size(); ++i) {
+        std::uint64_t stamp = lru_[i];
+        if (addr_[i] == key) {
+            slot = i;
+            resident = true;
             break;
         }
-        if (!victim || s.lru < victim->lru)
-            victim = &s;
+        bool older = stamp < slot_stamp;
+        slot = older ? i : slot;
+        slot_stamp = older ? stamp : slot_stamp;
     }
 
     std::optional<Entry> displaced;
-    if (victim->valid)
-        displaced = victim->entry;
-    victim->valid = true;
-    victim->entry = norm;
-    victim->lru = ++clock_;
+    if (!resident && lru_[slot])
+        displaced = Entry{addr_[slot], streamId_[slot], readyTime_[slot]};
+    addr_[slot] = key;
+    streamId_[slot] = e.streamId;
+    readyTime_[slot] = e.readyTime;
+    lru_[slot] = ++clock_;
     return displaced;
 }
 
 std::optional<StreamedValueBuffer::Entry>
 StreamedValueBuffer::consume(Addr a)
 {
-    Slot *s = findSlot(a);
-    if (!s)
+    std::size_t i = find(blockAlign(a));
+    if (i == kNone)
         return std::nullopt;
-    s->valid = false;
-    return s->entry;
+    return release(i);
 }
 
 bool
 StreamedValueBuffer::contains(Addr a) const
 {
-    return findSlot(a) != nullptr;
+    return find(blockAlign(a)) != kNone;
 }
 
 std::optional<StreamedValueBuffer::Entry>
@@ -88,12 +89,9 @@ StreamedValueBuffer::invalidate(Addr a)
 std::optional<StreamedValueBuffer::Entry>
 StreamedValueBuffer::consumeAny()
 {
-    for (Slot &s : slots_) {
-        if (s.valid) {
-            s.valid = false;
-            return s.entry;
-        }
-    }
+    for (std::size_t i = 0; i < lru_.size(); ++i)
+        if (lru_[i])
+            return release(i);
     return std::nullopt;
 }
 
@@ -101,9 +99,8 @@ std::size_t
 StreamedValueBuffer::occupancy() const
 {
     std::size_t n = 0;
-    for (const Slot &s : slots_)
-        if (s.valid)
-            ++n;
+    for (std::uint64_t stamp : lru_)
+        n += stamp != 0;
     return n;
 }
 
@@ -111,9 +108,8 @@ std::size_t
 StreamedValueBuffer::occupancyForStream(int stream_id) const
 {
     std::size_t n = 0;
-    for (const Slot &s : slots_)
-        if (s.valid && s.entry.streamId == stream_id)
-            ++n;
+    for (std::size_t i = 0; i < lru_.size(); ++i)
+        n += lru_[i] && streamId_[i] == stream_id;
     return n;
 }
 
@@ -125,17 +121,17 @@ void
 StreamedValueBuffer::saveState(StateWriter &w) const
 {
     w.tag(kSvbTag);
-    w.u64(slots_.size());
+    w.u64(lru_.size());
     w.u64(clock_);
     // Slot order decides consumeAny()'s drain order: positional.
-    for (const Slot &s : slots_) {
-        w.boolean(s.valid);
-        if (!s.valid)
+    for (std::size_t i = 0; i < lru_.size(); ++i) {
+        w.boolean(lru_[i] != 0);
+        if (!lru_[i])
             continue;
-        w.u64(s.lru);
-        w.u64(s.entry.addr);
-        w.i64(s.entry.streamId);
-        w.u64(s.entry.readyTime);
+        w.u64(lru_[i]);
+        w.u64(addr_[i]);
+        w.i64(streamId_[i]);
+        w.u64(readyTime_[i]);
     }
 }
 
@@ -143,22 +139,29 @@ void
 StreamedValueBuffer::loadState(StateReader &r)
 {
     r.tag(kSvbTag);
-    if (r.u64() != slots_.size()) {
+    if (r.u64() != lru_.size()) {
         r.fail();
         return;
     }
     clock_ = r.u64();
-    for (Slot &s : slots_) {
-        s = Slot{};
-        s.valid = r.boolean();
-        if (!s.valid)
+    for (std::size_t i = 0; i < lru_.size(); ++i) {
+        lru_[i] = 0;
+        addr_[i] = kFreeAddr;
+        streamId_[i] = -1;
+        readyTime_[i] = 0;
+        if (!r.boolean())
             continue;
-        s.lru = r.u64();
-        s.entry.addr = r.u64();
-        s.entry.streamId = static_cast<int>(r.i64());
-        s.entry.readyTime = r.u64();
+        std::uint64_t stamp = r.u64();
+        Addr addr = r.u64();
+        streamId_[i] = static_cast<int>(r.i64());
+        readyTime_[i] = r.u64();
+        if (stamp == 0 || stamp > clock_ || addr != blockAlign(addr) ||
+            find(addr) != kNone)
+            r.fail();
         if (!r.ok())
             return;
+        addr_[i] = addr;
+        lru_[i] = stamp;
     }
 }
 

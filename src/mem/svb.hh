@@ -81,28 +81,38 @@ class StreamedValueBuffer
     std::size_t occupancyForStream(int stream_id) const;
 
     /** Fixed capacity. */
-    std::size_t capacity() const { return slots_.size(); }
+    std::size_t capacity() const { return lru_.size(); }
 
     /** Serialize the full buffer state (checkpointing). */
     void saveState(StateWriter &w) const;
 
     /** Restore state saved from an equal-capacity buffer; fails the
-     *  reader on a capacity mismatch. */
+     *  reader on a capacity mismatch, and on slots no live buffer
+     *  holds: an unaligned or duplicate address, or a stamp of 0 or
+     *  above the saved clock. */
     void loadState(StateReader &r);
 
   private:
-    struct Slot
-    {
-        bool valid = false;
-        std::uint64_t lru = 0;
-        Entry entry;
-    };
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    /// Address lane value of a free slot: unaligned, so it never
+    /// equals a buffered block and a probe reads the address lane
+    /// alone.
+    static constexpr Addr kFreeAddr = 1;
 
-    Slot *findSlot(Addr a);
-    const Slot *findSlot(Addr a) const;
+    /** Slot holding block `key`, or kNone. */
+    std::size_t find(Addr key) const;
+
+    /** Take slot `i`'s entry and free the slot. */
+    Entry release(std::size_t i);
 
     std::uint64_t clock_ = 0;
-    std::vector<Slot> slots_;
+    /// Parallel slot lanes (structure-of-arrays). A free slot holds
+    /// kFreeAddr and stamp 0, which the victim scan reads as older
+    /// than any live slot, as in LruTable.
+    std::vector<Addr> addr_;
+    std::vector<std::uint64_t> lru_;
+    std::vector<int> streamId_;
+    std::vector<Cycles> readyTime_;
 };
 
 } // namespace stems

@@ -1,12 +1,9 @@
 #include "sim/batch_sim.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
 
+#include "common/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 
@@ -19,12 +16,18 @@ struct BatchMetrics
 {
     LatencyHistogram &chunkNs;
     Counter &recordSteps;
+    Counter &hierarchySteps;
+    Counter &privateL2Lanes;
 
     BatchMetrics()
         : chunkNs(
               MetricsRegistry::instance().histogram("batch.chunk_ns")),
           recordSteps(
-              MetricsRegistry::instance().counter("batch.record_steps"))
+              MetricsRegistry::instance().counter("batch.record_steps")),
+          hierarchySteps(MetricsRegistry::instance().counter(
+              "batch.hierarchy_steps")),
+          privateL2Lanes(MetricsRegistry::instance().counter(
+              "batch.private_l2_lanes"))
     {
     }
 };
@@ -36,16 +39,27 @@ batchMetrics()
     return metrics;
 }
 
+bool
+sameGeometry(const HierarchyParams &a, const HierarchyParams &b)
+{
+    return a.l1Bytes == b.l1Bytes && a.l1Ways == b.l1Ways &&
+           a.l2Bytes == b.l2Bytes && a.l2Ways == b.l2Ways;
+}
+
 } // namespace
 
 std::size_t
 BatchSimulator::addLane(const SimParams &params, Prefetcher *engine,
                         std::size_t warmup_records)
 {
+    if (!frontEnd_)
+        frontEnd_ = std::make_unique<DemandFrontEnd>(params.hierarchy);
+    else if (!sameGeometry(params.hierarchy,
+                           lanes_.front().sim->params_.hierarchy))
+        fatal("batch lanes must share one hierarchy geometry");
     Lane lane;
-    lane.sim = std::make_unique<PrefetchSimulator>(params, engine);
-    lane.params = params;
-    lane.engine = engine;
+    lane.sim.reset(
+        new PrefetchSimulator(params, engine, frontEnd_.get()));
     lane.warmup = warmup_records;
     if (lane.warmup > 0)
         lane.sim->setMeasuring(false);
@@ -53,167 +67,106 @@ BatchSimulator::addLane(const SimParams &params, Prefetcher *engine,
     return lanes_.size() - 1;
 }
 
-void
-BatchSimulator::rebuildLane(std::size_t lane_index,
-                            Prefetcher *engine)
+std::size_t
+BatchSimulator::addRestoredLane(
+    std::unique_ptr<PrefetchSimulator> restored,
+    std::size_t warmup_records)
 {
-    Lane &lane = lanes_.at(lane_index);
-    lane.engine = engine;
-    lane.sim =
-        std::make_unique<PrefetchSimulator>(lane.params, engine);
-    if (lane.warmup > 0)
-        lane.sim->setMeasuring(false);
-    lane.start = 0;
-    lane.nextBoundary = 0;
+    if (!frontEnd_)
+        frontEnd_ = std::move(restored->ownFrontEnd_);
+    else if (!restored->joinFrontEnd(*frontEnd_))
+        return lanes_.size();
+    lanes_.push_back(Lane{std::move(restored), warmup_records});
+    return lanes_.size() - 1;
 }
 
 void
-BatchSimulator::setLaneStart(std::size_t lane_index,
-                             std::size_t start_index)
+BatchSimulator::fireBoundary(std::size_t index)
 {
-    lanes_.at(lane_index).start = start_index;
-}
-
-void
-BatchSimulator::setLaneBoundaries(std::size_t lane_index,
-                                  std::vector<std::size_t> boundaries)
-{
-    Lane &lane = lanes_.at(lane_index);
-    lane.boundaries = std::move(boundaries);
-    lane.nextBoundary = 0;
-}
-
-void
-BatchSimulator::runLaneChunk(std::size_t lane_index,
-                             const MemRecord *records,
-                             std::size_t first, std::size_t count)
-{
-    // Mirrors PrefetchSimulator::run exactly: the measuring flip at
-    // index == warmup is a no-op for warmup == 0 lanes (already on),
-    // so the lane's step sequence matches a standalone run bitwise.
-    // A resumed lane skips everything below its start index — flip
-    // included, since the checkpointed state already contains it.
-    Lane &lane = lanes_[lane_index];
-    PrefetchSimulator &sim = *lane.sim;
-    if (first + count <= lane.start)
-        return; // whole chunk inside the resumed prefix
-    std::size_t skip = lane.start > first ? lane.start - first : 0;
-    batchMetrics().recordSteps.add(count - skip);
-    for (std::size_t i = skip; i < count; ++i) {
-        std::size_t global = first + i;
-        if (lane.nextBoundary < lane.boundaries.size() &&
-            lane.boundaries[lane.nextBoundary] == global) {
-            if (boundary_)
-                boundary_(lane_index, global, sim);
-            ++lane.nextBoundary;
-        }
-        if (global == lane.warmup)
-            sim.setMeasuring(true);
-        sim.step(records[i]);
-    }
+    if (boundary_)
+        for (std::size_t li = 0; li < lanes_.size(); ++li)
+            boundary_(li, index, *lanes_[li].sim);
 }
 
 void
 BatchSimulator::runChunk(const MemRecord *records, std::size_t first,
-                         std::size_t count, unsigned jobs)
+                         std::size_t count)
 {
+    // Mirrors PrefetchSimulator::run exactly: the measuring flip at
+    // index == warmup is a no-op for warmup == 0 lanes (already on),
+    // so each lane's step sequence matches a standalone run bitwise.
+    // A resumed batch skips everything below its start index — flip
+    // included, since the checkpointed state already contains it.
+    if (first + count <= start_)
+        return; // whole chunk inside the resumed prefix
     ScopedSpan span("batch.chunk", "batch");
     if (span.active()) {
         span.arg("first", static_cast<std::uint64_t>(first));
         span.arg("records", static_cast<std::uint64_t>(count));
-        span.arg("lanes",
-                 static_cast<std::uint64_t>(lanes_.size()));
+        span.arg("lanes", static_cast<std::uint64_t>(lanes_.size()));
     }
     const auto chunk_start = std::chrono::steady_clock::now();
-    // Lane-major within the chunk: a lane's tables stay hot for the
-    // whole chunk while the chunk's records are served from cache
-    // for every lane after the first. (Record-major — all lanes per
-    // record — reloads every lane's working set per record and is
-    // measurably slower.)
-    const auto record_chunk_ns = [&chunk_start] {
-        batchMetrics().chunkNs.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - chunk_start)
-                .count()));
-    };
-    std::size_t workers =
-        std::min<std::size_t>(jobs, lanes_.size());
-    if (workers <= 1) {
-        for (std::size_t li = 0; li < lanes_.size(); ++li)
-            runLaneChunk(li, records, first, count);
-        record_chunk_ns();
-        return;
-    }
-
-    // Lanes are mutually independent, so they can advance through
-    // the shared chunk concurrently; threads claim lanes dynamically
-    // to absorb heterogeneous lane costs.
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    auto body = [&] {
-        for (;;) {
-            std::size_t li =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (li >= lanes_.size())
-                break;
-            try {
-                runLaneChunk(li, records, first, count);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-            }
+    std::size_t skip = start_ > first ? start_ - first : 0;
+    for (std::size_t i = skip; i < count; ++i) {
+        std::size_t global = first + i;
+        if (nextBoundary_ < boundaries_.size() &&
+            boundaries_[nextBoundary_] == global) {
+            fireBoundary(global);
+            ++nextBoundary_;
         }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t t = 0; t + 1 < workers; ++t)
-        pool.emplace_back(body);
-    body();
-    for (std::thread &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
-    record_chunk_ns();
+        const MemRecord &r = records[i];
+        const DemandOutcome outcome = frontEnd_->step(r);
+        for (Lane &lane : lanes_) {
+            if (global == lane.warmup)
+                lane.sim->setMeasuring(true);
+            lane.sim->advance(r, outcome);
+        }
+    }
+    batchMetrics().hierarchySteps.add(count - skip);
+    batchMetrics().recordSteps.add((count - skip) * lanes_.size());
+    batchMetrics().chunkNs.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - chunk_start)
+            .count()));
 }
 
 void
 BatchSimulator::finishAll(std::size_t total_records)
 {
-    for (std::size_t li = 0; li < lanes_.size(); ++li) {
-        Lane &lane = lanes_[li];
-        // An end-of-trace boundary captures the pre-finish state, so
-        // a resumed run re-executes finish() exactly once, like the
-        // continuous run it mirrors.
-        while (lane.nextBoundary < lane.boundaries.size() &&
-               lane.boundaries[lane.nextBoundary] <= total_records) {
-            if (lane.boundaries[lane.nextBoundary] ==
-                    total_records &&
-                boundary_) {
-                boundary_(li, total_records, *lane.sim);
-            }
-            ++lane.nextBoundary;
-        }
+    // An end-of-trace boundary captures the pre-finish state, so a
+    // resumed run re-executes finish() exactly once, like the
+    // continuous run it mirrors.
+    for (; nextBoundary_ < boundaries_.size() &&
+           boundaries_[nextBoundary_] <= total_records;
+         ++nextBoundary_)
+        if (boundaries_[nextBoundary_] == total_records)
+            fireBoundary(total_records);
+    for (Lane &lane : lanes_) {
+        if (lane.sim->l2_)
+            batchMetrics().privateL2Lanes.add();
         lane.sim->finish();
     }
 }
 
 void
-BatchSimulator::run(const Trace &trace, unsigned jobs)
+BatchSimulator::run(const Trace &trace)
 {
-    for (std::size_t start = 0; start < trace.size();
-         start += kChunkRecords) {
+    if (lanes_.empty())
+        return;
+    for (std::size_t first = 0; first < trace.size();
+         first += kChunkRecords) {
         std::size_t count =
-            std::min(trace.size() - start, kChunkRecords);
-        runChunk(trace.data() + start, start, count, jobs);
+            std::min(trace.size() - first, kChunkRecords);
+        runChunk(trace.data() + first, first, count);
     }
     finishAll(trace.size());
 }
 
 void
-BatchSimulator::run(TraceSource &source, unsigned jobs)
+BatchSimulator::run(TraceSource &source)
 {
+    if (lanes_.empty())
+        return;
     source.reset();
     std::vector<MemRecord> chunk(kChunkRecords);
     std::size_t first = 0;
@@ -223,7 +176,7 @@ BatchSimulator::run(TraceSource &source, unsigned jobs)
             ++count;
         if (count == 0)
             break;
-        runChunk(chunk.data(), first, count, jobs);
+        runChunk(chunk.data(), first, count);
         first += count;
         if (count < kChunkRecords)
             break;

@@ -1,24 +1,28 @@
 /**
  * @file
  * Batched trace execution: one pass over a trace advances N
- * independent simulation lanes.
+ * simulation lanes behind one shared demand front-end.
  *
- * Each lane is a full PrefetchSimulator — its own MemoryHierarchy,
- * SVB, timing model, SimStats, and (optionally) prefetch engine — so
- * lanes never share mutable state and a lane's statistics are bitwise
- * identical to what a standalone PrefetchSimulator::run over the same
- * trace would produce (tests/sim_test.cc pins this). What the batch
- * amortizes is the trace traversal itself: every record is fetched
- * (or decoded, for a TraceSource replay) exactly once and stepped
- * through every lane, instead of once per lane. Records are
- * processed in chunks, lane-major within each chunk, so a lane's
- * working set stays cache-hot across the chunk while the chunk's
- * records are re-served from cache to every subsequent lane.
+ * Each lane is a PrefetchSimulator with its own SVB, timing model,
+ * SimStats and (optionally) prefetch engine. The L1 and the demand
+ * L2 are a pure function of the demand stream (prefetches never fill
+ * the L1; only L2-sink engines fill the L2), so the batch simulates
+ * them once per record in one DemandFrontEnd and every lane consumes
+ * its outcome. A lane whose engine fills the L2 copies the shared L2
+ * just before its first fill and steps its private copy from then
+ * on. Every lane's statistics and checkpoint bytes are bitwise
+ * identical to what a standalone PrefetchSimulator::run over the
+ * same trace produces (tests/sim_test.cc and
+ * tests/checkpoint_test.cc pin this).
  *
- * This is the single-pass, multi-consumer structure trace-driven
- * simulators use to evaluate many configurations per trace read; the
- * ExperimentDriver uses it to run a workload's baseline, stride and
- * engine cells in one traversal (see SweepPlan::batch).
+ * Records are stepped record-major: the front-end steps a record,
+ * then every lane steps it, so each lane's prefetch filter reads the
+ * shared L2 exactly as it stands after the current record. The trace
+ * is fetched (or decoded, for a TraceSource replay) once per record,
+ * in chunks.
+ *
+ * The ExperimentDriver uses this to run a workload's baseline, stride
+ * and engine cells in one traversal (see SweepPlan::batch).
  */
 
 #ifndef STEMS_SIM_BATCH_SIM_HH
@@ -34,16 +38,17 @@
 namespace stems {
 
 /**
- * Advances several independent PrefetchSimulators from a single
- * decode of each trace record.
+ * Advances several PrefetchSimulators from a single decode and a
+ * single hierarchy step of each trace record.
  */
 class BatchSimulator
 {
   public:
     /**
-     * Add one simulation lane.
+     * Add one simulation lane, starting cold.
      *
-     * @param params  system configuration for this lane.
+     * @param params  system configuration for this lane; every lane
+     *                of a batch shares one hierarchy geometry.
      * @param engine  attached engine; may be null (the no-prefetch
      *                baseline). Not owned; must outlive run().
      * @param warmup_records  leading records that train this lane
@@ -53,28 +58,39 @@ class BatchSimulator
     std::size_t addLane(const SimParams &params, Prefetcher *engine,
                         std::size_t warmup_records = 0);
 
+    /**
+     * Add a lane restored from a checkpoint: `restored` is a
+     * standalone simulator holding the state at the batch's start
+     * index (setStart), e.g. from decodeCheckpoint. The first
+     * restored lane's hierarchy becomes the batch's front-end; a
+     * later lane joins only if its L1 is byte-identical to it, and
+     * reads the shared L2 only if its own L2 is byte-equal to it
+     * (it keeps its L2 private otherwise). A batch's lanes are
+     * either all added cold or all restored.
+     *
+     * @return the lane's index, or lanes() unchanged when the
+     *         lane's L1 disagrees (the lane is not added).
+     */
+    std::size_t addRestoredLane(std::unique_ptr<PrefetchSimulator> restored,
+                                std::size_t warmup_records = 0);
+
     /** Number of lanes added. */
     std::size_t lanes() const { return lanes_.size(); }
 
     /**
      * One pass over an in-memory trace: each record is stepped
-     * through every lane, honoring per-lane warmup, then every lane
-     * is finalized. Call at most once per BatchSimulator.
-     *
-     * @param jobs  worker threads advancing lanes within each chunk
-     *              (lanes are mutually independent, so lane-level
-     *              parallelism cannot change any lane's results;
-     *              clamped to the lane count, 1 = serial).
+     * through the front-end and every lane, honoring per-lane
+     * warmup, then every lane is finalized. Call at most once per
+     * BatchSimulator.
      */
-    void run(const Trace &trace, unsigned jobs = 1);
+    void run(const Trace &trace);
 
     /**
      * One pass over a TraceSource (the source is reset first): each
-     * record is decoded exactly once and stepped through every lane.
-     * Record-for-record equivalent to run(const Trace &) over the
-     * materialized trace.
+     * record is decoded exactly once. Record-for-record equivalent
+     * to run(const Trace &) over the materialized trace.
      */
-    void run(TraceSource &source, unsigned jobs = 1);
+    void run(TraceSource &source);
 
     /** Statistics of one lane's measured window (valid after run). */
     const SimStats &stats(std::size_t lane) const
@@ -89,39 +105,30 @@ class BatchSimulator
     }
 
     /**
-     * Replace a lane's simulator with a freshly-constructed one
-     * (same SimParams and warmup as addLane received). Used when a
-     * checkpoint restore fails structurally after partially mutating
-     * the lane: the caller recreates the engine and the lane starts
-     * cold.
-     */
-    void rebuildLane(std::size_t lane, Prefetcher *engine);
-
-    /**
-     * Start a lane at a trace position instead of record 0: records
-     * before `start_index` are skipped entirely. The lane's
-     * simulator must hold the matching checkpointed state
+     * Start every lane at a trace position instead of record 0:
+     * records before `start_index` are skipped entirely. Restored
+     * lanes must hold the matching checkpointed state
      * (sim/checkpoint.hh), which bakes in any warmup flip at or
      * before the start — the skipped records' flip checks are
      * skipped with them.
      */
-    void setLaneStart(std::size_t lane, std::size_t start_index);
+    void setStart(std::size_t start_index) { start_ = start_index; }
 
     /**
-     * Checkpoint boundaries for a lane, ascending and strictly
-     * greater than its start index. At each boundary index i the
-     * boundary callback fires after records [0, i) were stepped and
+     * Checkpoint boundaries, ascending and strictly greater than the
+     * start index. At each boundary index i the boundary callback
+     * fires for every lane after records [0, i) were stepped and
      * before the warmup-flip check of record i (the checkpoint
      * convention of sim/checkpoint.hh); a boundary equal to the
      * trace length fires after the last record, before finish().
      */
-    void setLaneBoundaries(std::size_t lane,
-                           std::vector<std::size_t> boundaries);
+    void
+    setBoundaries(std::vector<std::size_t> boundaries)
+    {
+        boundaries_ = std::move(boundaries);
+    }
 
-    /** Boundary observer: (lane, record index, lane simulator). May
-     *  be invoked concurrently from different lanes' worker threads
-     *  when run() parallelizes lanes; it must only touch per-lane or
-     *  thread-safe state. */
+    /** Boundary observer: (lane, record index, lane simulator). */
     using BoundaryFn = std::function<void(
         std::size_t, std::size_t, PrefetchSimulator &)>;
 
@@ -135,35 +142,30 @@ class BatchSimulator
     struct Lane
     {
         std::unique_ptr<PrefetchSimulator> sim;
-        SimParams params;
-        Prefetcher *engine = nullptr;
         std::size_t warmup = 0;
-        std::size_t start = 0;
-        std::vector<std::size_t> boundaries;
-        std::size_t nextBoundary = 0; ///< cursor into boundaries
     };
 
-    /// Records stepped per lane before switching lanes (or, with
-    /// jobs > 1, the lane-parallel synchronization quantum): big
-    /// enough to amortize reloading a lane's working set and the
-    /// per-chunk thread handoff, small enough that the chunk (2 MiB
-    /// of records) stays cache-resident for the next lane.
+    /// Records per trace chunk: the decode buffer of a TraceSource
+    /// replay, and the unit of the `batch.chunk` span.
     static constexpr std::size_t kChunkRecords = 65536;
 
-    /** Step `count` records (trace positions [first, first+count))
-     *  through every lane, lane-major, on up to `jobs` threads. */
+    /** Step records at trace positions [first, first+count). */
     void runChunk(const MemRecord *records, std::size_t first,
-                  std::size_t count, unsigned jobs);
+                  std::size_t count);
 
-    /** One lane's share of a chunk. */
-    void runLaneChunk(std::size_t lane_index,
-                      const MemRecord *records, std::size_t first,
-                      std::size_t count);
+    /** Fire the boundary callback for every lane at `index`. */
+    void fireBoundary(std::size_t index);
 
     /** Fire end-of-trace boundaries, then finish every lane. */
     void finishAll(std::size_t total_records);
 
+    /// Declared before lanes_: lanes unregister from it on
+    /// destruction.
+    std::unique_ptr<DemandFrontEnd> frontEnd_;
     std::vector<Lane> lanes_;
+    std::size_t start_ = 0;
+    std::vector<std::size_t> boundaries_;
+    std::size_t nextBoundary_ = 0; ///< cursor into boundaries_
     BoundaryFn boundary_;
 };
 

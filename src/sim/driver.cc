@@ -601,25 +601,26 @@ ExperimentDriver::runCells(
     };
 
     /**
-     * Run a group of one workload's cells as lanes of one
-     * BatchSimulator pass (the whole shard when batching, a single
-     * cell otherwise — a 1-lane pass is bitwise identical to a
-     * standalone PrefetchSimulator::run, which sim_test pins). When
-     * checkpointing is on, each lane resumes from the newest stored
+     * Run a group of one workload's cells (the whole shard when
+     * batching, a single cell otherwise — a 1-lane pass is bitwise
+     * identical to a standalone PrefetchSimulator::run, which
+     * sim_test pins) as lanes of BatchSimulator passes. When
+     * checkpointing is on, each cell resumes from the newest stored
      * checkpoint whose trace prefix, warmup boundary and engine spec
-     * match, and writes a checkpoint at every boundary it crosses.
+     * match, and each lane writes a checkpoint at every boundary it
+     * crosses. The lanes of a pass share one demand front-end and so
+     * start at one index: the cells run in one pass per distinct
+     * resume index, newest first.
      */
     auto execute_cells = [&](WorkloadShard &shard,
-                             const std::vector<Cell> &group,
-                             unsigned lane_jobs) {
+                             const std::vector<Cell> &group) {
         ScopedSpan span("cells.execute", "driver");
         if (span.active()) {
             span.arg("workload", shard.workload->name());
             span.arg("lanes",
                      static_cast<std::uint64_t>(group.size()));
-            span.arg("lane_jobs",
-                     static_cast<std::uint64_t>(lane_jobs));
         }
+        const bool resumable = ckpt_enabled && !shard.ckptBounds.empty();
         // Trace-prefix digests are a property of the trace, not a
         // lane: one memo serves every lane's resume probe (on-schedule
         // indices are pre-seeded from materialize_shard's boundary
@@ -629,126 +630,159 @@ ExperimentDriver::runCells(
             prefix_memo[shard.ckptBounds[b]] =
                 shard.ckptBoundPrefixes[b];
 
-        BatchSimulator sim;
-        std::vector<std::unique_ptr<Prefetcher>> lane_engines;
+        std::vector<std::unique_ptr<Prefetcher>> lane_engines(
+            group.size());
+        std::vector<std::unique_ptr<PrefetchSimulator>> restored(
+            group.size());
         std::vector<std::uint64_t> lane_spec(group.size(), 0);
-        lane_engines.reserve(group.size());
-        for (const Cell &cell : group) {
-            lane_engines.push_back(make_cell_engine(cell, shard));
-            sim.addLane(sim_params, lane_engines.back().get(),
-                        shard.warmup);
+
+        /**
+         * Resume probe for cell k: the newest stored checkpoint below
+         * `limit` that decodes, left in restored[k] with its engine in
+         * lane_engines[k]. @return its index, or 0 (cold start, with
+         * a fresh engine).
+         *
+         * Candidate indices come from the store's directory (they may
+         * include other workloads' or record-schedules'
+         * checkpoints); each candidate is verified against this
+         * trace by recomputing the prefix digest, newest first.
+         * Candidates on this run's own boundary schedule — the
+         * common case — reuse the digests materialize_shard already
+         * computed; only off-schedule indices cost a hash pass.
+         */
+        auto resume_cell = [&](std::size_t k, std::size_t limit) {
+            ScopedSpan resume_span("ckpt.resume", "ckpt");
+            auto candidates = store_->listCheckpointIndices(
+                lane_spec[k], ckptConfigDigest_);
+            std::vector<std::size_t> usable;
+            for (std::uint64_t c : candidates)
+                if (c > 0 && c <= shard.trace.size() && c < limit)
+                    usable.push_back(static_cast<std::size_t>(c));
+            std::vector<std::size_t> missing;
+            for (std::size_t c : usable)
+                if (prefix_memo.find(c) == prefix_memo.end())
+                    missing.push_back(c);
+            if (!missing.empty()) {
+                auto computed = tracePrefixDigests(shard.trace, missing);
+                for (std::size_t m = 0; m < missing.size(); ++m)
+                    prefix_memo[missing[m]] = computed[m];
+            }
+            std::size_t resume = 0;
+            restored[k].reset();
+            for (std::size_t c = usable.size(); c-- > 0;) {
+                std::uint64_t state = ckpt_state_digest(
+                    prefix_memo[usable[c]], usable[c], shard.warmup);
+                auto blob = store_->loadCheckpoint(
+                    lane_spec[k], ckptConfigDigest_, usable[c], state);
+                if (!blob)
+                    continue;
+                lane_engines[k] = make_cell_engine(group[k], shard);
+                auto sim = std::make_unique<PrefetchSimulator>(
+                    sim_params, lane_engines[k].get());
+                std::uint64_t decoded = 0;
+                if (decodeCheckpoint(*blob, *sim, &decoded) &&
+                    decoded == usable[c]) {
+                    restored[k] = std::move(sim);
+                    resume = usable[c];
+                    break;
+                }
+                // Structurally unrestorable despite a CRC pass (key
+                // collision / code skew): drop the stale entry so a
+                // fresh one replaces it, and keep trying older
+                // candidates.
+                store_->dropCheckpoint(lane_spec[k], ckptConfigDigest_,
+                                       usable[c], state);
+            }
+            if (resume == 0)
+                lane_engines[k] = make_cell_engine(group[k], shard);
+            if (resume_span.active()) {
+                resume_span.arg("engine", cell_label(group[k]));
+                resume_span.arg("resume_index",
+                                static_cast<std::uint64_t>(resume));
+            }
+            return resume;
+        };
+
+        // Resume index -> the cells starting there, newest first.
+        std::map<std::size_t, std::vector<std::size_t>,
+                 std::greater<std::size_t>>
+            passes;
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            std::size_t resume = 0;
+            if (resumable) {
+                lane_spec[k] = cell_ckpt_spec(group[k], shard);
+                resume = resume_cell(k, shard.trace.size() + 1);
+            } else {
+                lane_engines[k] = make_cell_engine(group[k], shard);
+            }
+            passes[resume].push_back(k);
         }
 
-        if (ckpt_enabled && !shard.ckptBounds.empty()) {
-            for (std::size_t k = 0; k < group.size(); ++k) {
-                ScopedSpan resume_span("ckpt.resume", "ckpt");
-                lane_spec[k] = cell_ckpt_spec(group[k], shard);
+        while (!passes.empty()) {
+            auto pass = passes.extract(passes.begin());
+            const std::size_t resume = pass.key();
+            std::vector<std::size_t> &members = pass.mapped();
+            std::sort(members.begin(), members.end());
 
-                // Resume: candidate indices come from the store's
-                // directory (they may include other workloads' or
-                // record-schedules' checkpoints); each candidate is
-                // verified against this trace by recomputing the
-                // prefix digest, newest first. Candidates that sit
-                // on this run's own boundary schedule — the common
-                // case — reuse the digests materialize_shard already
-                // computed; only off-schedule indices cost a hash
-                // pass.
-                auto candidates = store_->listCheckpointIndices(
-                    lane_spec[k], ckptConfigDigest_);
-                std::vector<std::size_t> usable;
-                for (std::uint64_t c : candidates)
-                    if (c > 0 && c <= shard.trace.size())
-                        usable.push_back(
-                            static_cast<std::size_t>(c));
-                std::vector<std::size_t> missing;
-                for (std::size_t c : usable)
-                    if (prefix_memo.find(c) == prefix_memo.end())
-                        missing.push_back(c);
-                if (!missing.empty()) {
-                    auto computed =
-                        tracePrefixDigests(shard.trace, missing);
-                    for (std::size_t m = 0; m < missing.size(); ++m)
-                        prefix_memo[missing[m]] = computed[m];
+            BatchSimulator sim;
+            std::vector<std::size_t> lane_cell; // lane -> k
+            for (std::size_t k : members) {
+                if (resume == 0) {
+                    sim.addLane(sim_params, lane_engines[k].get(),
+                                shard.warmup);
+                    lane_cell.push_back(k);
+                    continue;
                 }
-                std::vector<std::uint64_t> prefixes(usable.size());
-                for (std::size_t c = 0; c < usable.size(); ++c)
-                    prefixes[c] = prefix_memo[usable[c]];
-                std::size_t resume = 0;
-                for (std::size_t c = usable.size(); c-- > 0;) {
-                    std::uint64_t state = ckpt_state_digest(
-                        prefixes[c], usable[c], shard.warmup);
-                    auto blob = store_->loadCheckpoint(
-                        lane_spec[k], ckptConfigDigest_, usable[c],
-                        state);
-                    if (!blob)
-                        continue;
-                    std::uint64_t decoded = 0;
-                    if (decodeCheckpoint(*blob, sim.simulator(k),
-                                         &decoded) &&
-                        decoded == usable[c]) {
-                        resume = usable[c];
-                        break;
-                    }
-                    // Structurally unrestorable despite a CRC pass
-                    // (key collision / code skew): drop the stale
-                    // entry so a fresh one replaces it, rebuild the
-                    // possibly part-mutated lane, and keep trying
-                    // older candidates against the clean state.
-                    store_->dropCheckpoint(lane_spec[k],
-                                           ckptConfigDigest_,
-                                           usable[c], state);
-                    lane_engines[k] =
-                        make_cell_engine(group[k], shard);
-                    sim.rebuildLane(k, lane_engines[k].get());
-                }
-                if (resume_span.active()) {
-                    resume_span.arg("engine",
-                                    cell_label(group[k]));
-                    resume_span.arg(
-                        "resume_index",
-                        static_cast<std::uint64_t>(resume));
-                }
-                if (resume > 0) {
-                    sim.setLaneStart(k, resume);
+                if (sim.addRestoredLane(std::move(restored[k]),
+                                        shard.warmup) < sim.lanes()) {
+                    lane_cell.push_back(k);
                     resumedRuns_.fetch_add(1);
                     resumedRecordsSkipped_.fetch_add(resume);
                     driverMetrics().cellResumed.add();
                     driverMetrics().ckptSkippedRecords.add(resume);
+                    continue;
                 }
-                std::vector<std::size_t> lane_bounds;
+                // Its L1 disagrees with the pass's, which no two
+                // checkpoints of one trace prefix can: handle it like
+                // a blob that fails to decode.
+                store_->dropCheckpoint(
+                    lane_spec[k], ckptConfigDigest_, resume,
+                    ckpt_state_digest(prefix_memo[resume], resume,
+                                      shard.warmup));
+                passes[resume_cell(k, resume)].push_back(k);
+            }
+            if (sim.lanes() == 0)
+                continue;
+            sim.setStart(resume);
+
+            if (resumable) {
+                std::vector<std::size_t> bounds;
                 for (std::size_t b : shard.ckptBounds)
                     if (b > resume)
-                        lane_bounds.push_back(b);
-                sim.setLaneBoundaries(k, std::move(lane_bounds));
-            }
-
-            sim.setBoundaryCallback(
-                [&](std::size_t lane, std::size_t index,
-                    PrefetchSimulator &lane_sim) {
-                    // May run concurrently from lane worker
-                    // threads: only the thread-safe store and
-                    // atomics below.
+                        bounds.push_back(b);
+                sim.setBoundaries(std::move(bounds));
+                sim.setBoundaryCallback([&](std::size_t lane,
+                                            std::size_t index,
+                                            PrefetchSimulator &lane_sim) {
+                    const std::size_t k = lane_cell[lane];
                     ScopedSpan write_span("ckpt.write", "ckpt");
                     if (write_span.active()) {
+                        write_span.arg("lane",
+                                       static_cast<std::uint64_t>(k));
                         write_span.arg(
-                            "lane",
-                            static_cast<std::uint64_t>(lane));
-                        write_span.arg(
-                            "index",
-                            static_cast<std::uint64_t>(index));
+                            "index", static_cast<std::uint64_t>(index));
                     }
-                    auto pos =
-                        std::lower_bound(shard.ckptBounds.begin(),
-                                         shard.ckptBounds.end(),
-                                         index) -
-                        shard.ckptBounds.begin();
+                    auto pos = std::lower_bound(shard.ckptBounds.begin(),
+                                                shard.ckptBounds.end(),
+                                                index) -
+                               shard.ckptBounds.begin();
                     StoredCheckpointMeta meta;
                     meta.workload = shard.workload->name();
-                    meta.engine = cell_label(group[lane]);
+                    meta.engine = cell_label(group[k]);
                     meta.index = index;
                     meta.warmup = shard.warmup;
                     store_->putCheckpoint(
-                        lane_spec[lane], ckptConfigDigest_, index,
+                        lane_spec[k], ckptConfigDigest_, index,
                         ckpt_state_digest(
                             shard.ckptBoundPrefixes
                                 [static_cast<std::size_t>(pos)],
@@ -757,27 +791,29 @@ ExperimentDriver::runCells(
                     checkpointsWritten_.fetch_add(1);
                     driverMetrics().ckptWritten.add();
                 });
-        }
+            }
 
-        bool has_engine_cell = false;
-        for (const Cell &cell : group)
-            if (cell.kind == Cell::kEngine)
-                has_engine_cell = true;
-        const auto pass_start = std::chrono::steady_clock::now();
-        sim.run(shard.trace, lane_jobs);
-        // One sample per executed pass: a single cell unbatched, a
-        // whole workload's lanes batched. Engine passes and pure
-        // baseline/stride passes land in separate histograms.
-        const auto pass_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - pass_start)
-                .count());
-        (has_engine_cell ? driverMetrics().engineNs
-                         : driverMetrics().baselineNs)
-            .record(pass_ns);
-        for (std::size_t k = 0; k < group.size(); ++k)
-            collect_cell(group[k], shard, sim.stats(k),
-                         lane_engines[k].get());
+            const bool has_engine_cell = std::any_of(
+                lane_cell.begin(), lane_cell.end(), [&](std::size_t k) {
+                    return group[k].kind == Cell::kEngine;
+                });
+            const auto pass_start = std::chrono::steady_clock::now();
+            sim.run(shard.trace);
+            // One sample per executed pass. Engine passes and pure
+            // baseline/stride passes land in separate histograms.
+            const auto pass_ns = static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - pass_start)
+                    .count());
+            (has_engine_cell ? driverMetrics().engineNs
+                             : driverMetrics().baselineNs)
+                .record(pass_ns);
+            for (std::size_t lane = 0; lane < lane_cell.size(); ++lane) {
+                const std::size_t k = lane_cell[lane];
+                collect_cell(group[k], shard, sim.stats(lane),
+                             lane_engines[k].get());
+            }
+        }
     };
 
     // Progress accounting for the heartbeat: scheduled cells that
@@ -795,7 +831,7 @@ ExperimentDriver::runCells(
         }
         materialize_shard(shard);
 
-        execute_cells(shard, {cell}, 1);
+        execute_cells(shard, {cell});
         cells_done.fetch_add(1, std::memory_order_relaxed);
 
         if (shard.remainingCells.fetch_sub(1) == 1) {
@@ -872,15 +908,6 @@ ExperimentDriver::runCells(
             if (!shard_cells[i].empty())
                 batch_shards.push_back(i);
 
-        // Batching coarsens dispatch to one task per workload; when
-        // that leaves worker threads idle (fewer workloads than
-        // jobs), hand the slack to each task as lane-level
-        // parallelism inside its single trace pass. Lane results
-        // cannot depend on this (lanes are independent), so any
-        // split stays bitwise deterministic.
-        unsigned lane_jobs = static_cast<unsigned>(std::max<std::size_t>(
-            1, jobs_ / std::max<std::size_t>(1, batch_shards.size())));
-
         auto run_batch = [&](std::size_t task) {
             WorkloadShard &shard = *shards[batch_shards[task]];
             const std::vector<Cell> &batch =
@@ -892,7 +919,7 @@ ExperimentDriver::runCells(
                          static_cast<std::uint64_t>(batch.size()));
             }
             materialize_shard(shard);
-            execute_cells(shard, batch, lane_jobs);
+            execute_cells(shard, batch);
             cells_done.fetch_add(batch.size(),
                                  std::memory_order_relaxed);
             // The task owns all of this workload's cells: release

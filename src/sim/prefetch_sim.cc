@@ -8,27 +8,72 @@ namespace stems {
 
 PrefetchSimulator::PrefetchSimulator(const SimParams &params,
                                      Prefetcher *engine)
+    : PrefetchSimulator(params, engine, nullptr)
+{
+}
+
+PrefetchSimulator::PrefetchSimulator(const SimParams &params,
+                                     Prefetcher *engine,
+                                     DemandFrontEnd *shared)
     : params_(params),
-      hier_(params.hierarchy),
+      ownFrontEnd_(shared ? nullptr
+                          : std::make_unique<DemandFrontEnd>(
+                                params.hierarchy)),
+      frontEnd_(shared ? shared : ownFrontEnd_.get()),
       timing_(params.timing),
       engine_(engine)
 {
+    ++frontEnd_->l2Readers;
     if (engine_ != nullptr && engine_->bufferCapacity() > 0) {
         svb_ = std::make_unique<StreamedValueBuffer>(
             engine_->bufferCapacity());
     }
+}
 
-    hier_.setL1EvictCallback([this](Addr a) {
-        if (engine_)
-            engine_->onL1BlockRemoved(a);
-    });
-    hier_.setL2PrefetchDropCallback([this](Addr a) {
-        if (measuring_)
-            ++stats_.overpredictions;
-        l2PrefetchReady_.erase(blockAlign(a));
-        if (engine_)
-            engine_->onPrefetchDrop(a, -1);
-    });
+PrefetchSimulator::~PrefetchSimulator()
+{
+    if (!l2_)
+        --frontEnd_->l2Readers;
+}
+
+Cache &
+PrefetchSimulator::privateL2()
+{
+    if (!l2_) {
+        l2_ = std::make_unique<Cache>(frontEnd_->hier.l2());
+        --frontEnd_->l2Readers;
+    }
+    return *l2_;
+}
+
+namespace {
+
+std::vector<std::uint8_t>
+stateBytes(const Cache &c)
+{
+    StateWriter w;
+    c.saveState(w);
+    return w.take();
+}
+
+} // namespace
+
+bool
+PrefetchSimulator::joinFrontEnd(DemandFrontEnd &shared)
+{
+    const Hierarchy &own = frontEnd_->hier;
+    if (stateBytes(own.l1()) != stateBytes(shared.hier.l1()))
+        return false;
+    if (!l2_) {
+        if (shared.l2Readers > 0 &&
+            stateBytes(own.l2()) == stateBytes(shared.hier.l2()))
+            ++shared.l2Readers;
+        else
+            l2_ = std::make_unique<Cache>(own.l2());
+    }
+    frontEnd_ = &shared;
+    ownFrontEnd_.reset();
+    return true;
 }
 
 void
@@ -51,15 +96,42 @@ PrefetchSimulator::handleSvbVictim(const StreamedValueBuffer::Entry &e)
 }
 
 void
-PrefetchSimulator::step(const MemRecord &r)
+PrefetchSimulator::handleL2Drop(Addr a)
 {
+    if (measuring_)
+        ++stats_.overpredictions;
+    l2PrefetchReady_.erase(blockAlign(a));
+    if (engine_)
+        engine_->onPrefetchDrop(a, -1);
+}
+
+void
+PrefetchSimulator::advance(const MemRecord &r, const DemandOutcome &fe)
+{
+    // A private L2 is stepped here exactly as the front-end steps
+    // the shared one; from then on both kinds of lane run one path.
+    L2Outcome own;
+    if (l2_ && (r.isInvalidate() || !fe.l1Hit))
+        own = stepL2(*l2_, r.vaddr, r.isInvalidate());
+    const L2Outcome &l2 = l2_ ? own : fe.l2;
+    // Callbacks in the order the hierarchy's fills produce them.
+    auto l1_removed = [&] {
+        if (fe.l1Evicted && engine_)
+            engine_->onL1BlockRemoved(fe.l1Victim);
+    };
+    auto l2_dropped = [&] {
+        if (l2.dropped)
+            handleL2Drop(l2.dropAddr);
+    };
+
     if (measuring_)
         ++stats_.records;
 
     if (r.isInvalidate()) {
         if (measuring_)
             ++stats_.invalidates;
-        hier_.invalidate(r.vaddr);
+        l1_removed();
+        l2_dropped();
         if (svb_) {
             if (auto e = svb_->invalidate(r.vaddr))
                 handleSvbVictim(*e);
@@ -77,91 +149,82 @@ PrefetchSimulator::step(const MemRecord &r)
             ++stats_.writes;
     }
 
-    bool l1_hit = hier_.accessL1(r.vaddr);
     if (engine_)
-        engine_->onL1Access(r.vaddr, r.pc, l1_hit);
+        engine_->onL1Access(r.vaddr, r.pc, fe.l1Hit);
 
     AccessLevel level = AccessLevel::kL1;
     double ready = 0.0;
 
-    if (l1_hit) {
+    if (fe.l1Hit) {
         if (measuring_)
             ++stats_.l1Hits;
-    } else {
-        auto l2 = hier_.accessL2(r.vaddr);
-        if (l2.hit) {
-            hier_.fillL1(r.vaddr);
-            if (l2.coveredByPrefetch) {
-                level = AccessLevel::kL2Prefetch;
-                auto it =
-                    l2PrefetchReady_.find(blockAlign(r.vaddr));
-                if (it != l2PrefetchReady_.end()) {
-                    ready = it->second;
-                    l2PrefetchReady_.erase(it);
-                }
-                if (r.isRead()) {
-                    if (measuring_)
-                        ++stats_.l2PrefetchHits;
-                    if (engine_) {
-                        engine_->onPrefetchHit(r.vaddr, -1);
-                        engine_->onOffChipRead({blockAlign(r.vaddr),
-                                                r.pc, missSeq_++,
-                                                true, -1});
-                    }
-                } else {
-                    // A write consuming a prefetched block is still
-                    // a successful prefetch (it clears the prefetch
-                    // tag, so the block can never be swept as an
-                    // overprediction): advance the owning stream,
-                    // mirroring the SVB write path below. Like that
-                    // path it does not count toward covered() --
-                    // coverage measures eliminated *read* misses.
-                    if (measuring_)
-                        ++stats_.l2Hits;
-                    if (engine_)
-                        engine_->onPrefetchHit(r.vaddr, -1);
+    } else if (l2.hit) {
+        l1_removed();
+        if (l2.covered) {
+            level = AccessLevel::kL2Prefetch;
+            auto it = l2PrefetchReady_.find(blockAlign(r.vaddr));
+            if (it != l2PrefetchReady_.end()) {
+                ready = it->second;
+                l2PrefetchReady_.erase(it);
+            }
+            if (r.isRead()) {
+                if (measuring_)
+                    ++stats_.l2PrefetchHits;
+                if (engine_) {
+                    engine_->onPrefetchHit(r.vaddr, -1);
+                    engine_->onOffChipRead({blockAlign(r.vaddr), r.pc,
+                                            missSeq_++, true, -1});
                 }
             } else {
-                level = AccessLevel::kL2;
+                // A write consuming a prefetched block is still a
+                // successful prefetch (it clears the prefetch tag, so
+                // the block can never be swept as an
+                // overprediction): advance the owning stream,
+                // mirroring the SVB write path below. Like that path
+                // it does not count toward covered() -- coverage
+                // measures eliminated *read* misses.
                 if (measuring_)
                     ++stats_.l2Hits;
+                if (engine_)
+                    engine_->onPrefetchHit(r.vaddr, -1);
             }
         } else {
-            auto svb_entry =
-                svb_ ? svb_->consume(r.vaddr) : std::nullopt;
-            if (svb_entry.has_value()) {
-                level = AccessLevel::kSvb;
-                ready = static_cast<double>(svb_entry->readyTime);
-                hier_.fill(r.vaddr);
-                if (r.isRead()) {
-                    if (measuring_)
-                        ++stats_.svbHits;
-                    if (engine_) {
-                        engine_->onPrefetchHit(r.vaddr,
-                                               svb_entry->streamId);
-                        engine_->onOffChipRead(
-                            {blockAlign(r.vaddr), r.pc, missSeq_++,
-                             true, svb_entry->streamId});
-                    }
-                } else if (engine_) {
-                    // A write consuming a prefetched block still
-                    // advances the owning stream.
-                    engine_->onPrefetchHit(r.vaddr,
-                                           svb_entry->streamId);
+            level = AccessLevel::kL2;
+            if (measuring_)
+                ++stats_.l2Hits;
+        }
+    } else {
+        auto svb_entry = svb_ ? svb_->consume(r.vaddr) : std::nullopt;
+        // The demand fill: L2 victim first, then L1 victim.
+        l2_dropped();
+        l1_removed();
+        if (svb_entry.has_value()) {
+            level = AccessLevel::kSvb;
+            ready = static_cast<double>(svb_entry->readyTime);
+            if (r.isRead()) {
+                if (measuring_)
+                    ++stats_.svbHits;
+                if (engine_) {
+                    engine_->onPrefetchHit(r.vaddr, svb_entry->streamId);
+                    engine_->onOffChipRead({blockAlign(r.vaddr), r.pc,
+                                            missSeq_++, true,
+                                            svb_entry->streamId});
                 }
-            } else {
-                level = AccessLevel::kMemory;
-                hier_.fill(r.vaddr);
-                if (r.isRead()) {
-                    if (measuring_)
-                        ++stats_.offChipReads;
-                    if (engine_)
-                        engine_->onOffChipRead({blockAlign(r.vaddr),
-                                                r.pc, missSeq_++,
-                                                false, -1});
-                } else if (measuring_) {
-                    ++stats_.offChipWrites;
-                }
+            } else if (engine_) {
+                // A write consuming a prefetched block still
+                // advances the owning stream.
+                engine_->onPrefetchHit(r.vaddr, svb_entry->streamId);
+            }
+        } else {
+            level = AccessLevel::kMemory;
+            if (r.isRead()) {
+                if (measuring_)
+                    ++stats_.offChipReads;
+                if (engine_)
+                    engine_->onOffChipRead({blockAlign(r.vaddr), r.pc,
+                                            missSeq_++, false, -1});
+            } else if (measuring_) {
+                ++stats_.offChipWrites;
             }
         }
     }
@@ -183,7 +246,7 @@ PrefetchSimulator::drainAndIssue()
         Addr addr = blockAlign(req.addr);
         if (req.sink == PrefetchSink::kBuffer) {
             if (!svb_ || svb_->contains(addr) ||
-                hier_.l2().contains(addr)) {
+                l2().contains(addr)) {
                 // Redundant prefetch: filtered. The owning stream
                 // must still learn its request completed, or its
                 // in-flight accounting leaks and the stream stalls.
@@ -202,7 +265,7 @@ PrefetchSimulator::drainAndIssue()
             if (auto victim = svb_->insert(e))
                 handleSvbVictim(*victim);
         } else {
-            if (hier_.l2().contains(addr))
+            if (l2().contains(addr))
                 continue;
             double ready = params_.enableTiming
                                ? timing_.prefetchIssued()
@@ -211,7 +274,9 @@ PrefetchSimulator::drainAndIssue()
                 l2PrefetchReady_[addr] = ready;
             if (measuring_)
                 ++stats_.prefetchesIssued;
-            hier_.fillPrefetchL2(addr);
+            if (auto v = privateL2().insert(addr, /*prefetched=*/true);
+                v && v->unusedPrefetch())
+                handleL2Drop(v->addr);
         }
     }
 }
@@ -229,8 +294,7 @@ PrefetchSimulator::finish()
             handleSvbVictim(*e);
     }
     if (measuring_) {
-        stats_.overpredictions +=
-            hier_.l2().unreferencedPrefetches();
+        stats_.overpredictions += l2().unreferencedPrefetches();
     }
 
     stats_.cycles = timing_.totalCycles() - cyclesAtMeasureStart_;
@@ -280,7 +344,8 @@ PrefetchSimulator::saveState(StateWriter &w) const
     w.boolean(params_.enableTiming);
     w.boolean(svb_ != nullptr);
     w.boolean(engine_ != nullptr);
-    hier_.saveState(w);
+    frontEnd_->hier.l1().saveState(w);
+    l2().saveState(w);
     if (svb_)
         svb_->saveState(w);
     timing_.saveState(w);
@@ -328,11 +393,16 @@ PrefetchSimulator::loadState(StateReader &r)
     // checkpoint wrong.
     if (r.boolean() != params_.enableTiming ||
         r.boolean() != (svb_ != nullptr) ||
-        r.boolean() != (engine_ != nullptr)) {
+        r.boolean() != (engine_ != nullptr) || !ownFrontEnd_) {
         r.fail();
         return;
     }
-    hier_.loadState(r);
+    // The restored L2 replaces any private copy: read it in place.
+    if (l2_) {
+        l2_.reset();
+        ++frontEnd_->l2Readers;
+    }
+    frontEnd_->hier.loadState(r);
     if (svb_)
         svb_->loadState(r);
     timing_.loadState(r);

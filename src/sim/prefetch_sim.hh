@@ -15,11 +15,22 @@
  * When timing is enabled, every access also flows through the
  * TimingModel, and prefetches are stamped with fetch-completion times
  * so late prefetches pay residual latency.
+ *
+ * The simulator is split in two. Prefetches never fill the L1, and
+ * only L2-sink engines (SMS) fill the L2, so the L1 and, for every
+ * other engine, the L2 are a pure function of the demand stream: a
+ * DemandFrontEnd steps them once per record, and any number of lanes
+ * (PrefetchSimulator: SVB, timing, statistics, engine) consume its
+ * outcome. A lane reads the front-end's L2 until its engine's first
+ * L2 fill, when it copies that L2 and owns the copy from then on. A
+ * standalone PrefetchSimulator owns its front-end; a BatchSimulator
+ * (sim/batch_sim.hh) shares one among its lanes.
  */
 
 #ifndef STEMS_SIM_PREFETCH_SIM_HH
 #define STEMS_SIM_PREFETCH_SIM_HH
 
+#include <cassert>
 #include <memory>
 #include <unordered_map>
 
@@ -80,6 +91,29 @@ struct SimStats
 };
 
 /**
+ * The demand half of the hierarchy: the L1 and the demand L2,
+ * stepped once per record however many lanes read them. The L2 is
+ * stepped only while some lane reads it.
+ */
+struct DemandFrontEnd
+{
+    explicit DemandFrontEnd(const HierarchyParams &params)
+        : hier(params)
+    {
+    }
+
+    /** Step one record through the L1 and (while read) the L2. */
+    DemandOutcome
+    step(const MemRecord &r)
+    {
+        return hier.step(r.vaddr, r.isInvalidate(), l2Readers > 0);
+    }
+
+    Hierarchy hier;
+    std::size_t l2Readers = 0; ///< lanes without a private L2
+};
+
+/**
  * Runs one engine (or none, for the no-prefetch baseline) over a
  * trace.
  */
@@ -93,8 +127,19 @@ class PrefetchSimulator
      */
     PrefetchSimulator(const SimParams &params, Prefetcher *engine);
 
-    /** Process one record. */
-    void step(const MemRecord &r);
+    ~PrefetchSimulator();
+
+    PrefetchSimulator(const PrefetchSimulator &) = delete;
+    PrefetchSimulator &operator=(const PrefetchSimulator &) = delete;
+
+    /** Process one record. Only a simulator that owns its
+     *  front-end steps it; a batch steps its lanes itself. */
+    void
+    step(const MemRecord &r)
+    {
+        assert(ownFrontEnd_);
+        advance(r, frontEnd_->step(r));
+    }
 
     /**
      * Process a whole trace and finalize accounting.
@@ -138,19 +183,53 @@ class PrefetchSimulator
 
     /**
      * Restore state written by saveState. The simulator must have
-     * been constructed with the same SimParams and an engine of the
-     * same specification (or none, matching the saved run);
-     * structural mismatches fail the reader without touching the
-     * trace contract.
+     * been constructed standalone, with the same SimParams and an
+     * engine of the same specification (or none, matching the saved
+     * run); structural mismatches fail the reader without touching
+     * the trace contract. The restored L1 and L2 land in the
+     * simulator's own front-end.
      */
     void loadState(StateReader &r);
 
   private:
+    friend class BatchSimulator;
+
+    /** A lane reading `shared` (a batch's front-end), or, when it
+     *  is null, a standalone simulator with its own. */
+    PrefetchSimulator(const SimParams &params, Prefetcher *engine,
+                      DemandFrontEnd *shared);
+
+    /** Step one record, given the front-end's outcome for it. */
+    void advance(const MemRecord &r, const DemandOutcome &fe);
+
+    /**
+     * Move a restored standalone simulator onto a batch's
+     * front-end: it reads the shared L2 only when its own L2 is
+     * byte-equal to it, and keeps a private copy otherwise.
+     *
+     * @return false (nothing changed) when the L1s differ.
+     */
+    bool joinFrontEnd(DemandFrontEnd &shared);
+
+    /** The L2 this lane reads. */
+    const Cache &
+    l2() const
+    {
+        return l2_ ? *l2_ : frontEnd_->hier.l2();
+    }
+
+    /** The lane's private L2, copied from the front-end's on the
+     *  first call. */
+    Cache &privateL2();
+
     void drainAndIssue();
     void handleSvbVictim(const StreamedValueBuffer::Entry &e);
+    void handleL2Drop(Addr a);
 
     SimParams params_;
-    Hierarchy hier_;
+    std::unique_ptr<DemandFrontEnd> ownFrontEnd_; ///< standalone only
+    DemandFrontEnd *frontEnd_;
+    std::unique_ptr<Cache> l2_; ///< private L2; null while sharing
     std::unique_ptr<StreamedValueBuffer> svb_;
     TimingModel timing_;
     Prefetcher *engine_;

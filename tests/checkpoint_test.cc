@@ -27,11 +27,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "common/rng.hh"
+#include "obs/metrics.hh"
 #include "prefetch/engine_registry.hh"
+#include "sim/batch_sim.hh"
 #include "sim/checkpoint.hh"
 #include "sim/driver.hh"
+#include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
 #include "workloads/registry.hh"
@@ -272,6 +276,195 @@ TEST(Checkpoint, ReencodeRoundTripIsByteIdenticalForEveryEngine)
     }
 }
 
+/** 64-bit FNV-1a over a byte vector. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Checkpoint, BlobBytesArePinned)
+{
+    // The blob format is version 2 and stays byte-for-byte stable
+    // across changes to how the simulator holds its state: a blob
+    // written at a fixed index of a fixed trace must hash to the
+    // digest recorded when the format was frozen. "" is the
+    // engineless baseline lane.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"", 0x2913f65599afa713ull},
+        {"stride", 0x8f5f1fd90497b4dbull},
+        {"tms", 0x81f6a03c5e05eaefull},
+        {"sms", 0x1254b74c0196e9c3ull},
+        {"stems", 0x98beb7d8758a50f2ull},
+        {"tms+sms", 0x2454fc3b387cb9faull},
+    };
+    Trace trace = propertyTrace();
+    const std::size_t warmup = trace.size() / 3;
+    const std::size_t index = (trace.size() * 3) / 5;
+    SimParams params = timedParams();
+
+    std::vector<std::string> names = {""};
+    for (const std::string &name : EngineRegistry::instance().names())
+        names.push_back(name);
+    for (const std::string &name : names) {
+        SCOPED_TRACE("engine '" + name + "'");
+        auto engine = name.empty() ? nullptr : makeEngine(name);
+        PrefetchSimulator sim(params, engine.get());
+        sim.setMeasuring(false);
+        stepSpan(sim, trace, 0, index, warmup);
+        std::uint64_t digest = fnv1a(encodeCheckpoint(sim, index));
+        auto it = pinned.find(name);
+        if (it == pinned.end()) {
+            ADD_FAILURE() << "no pinned digest; got 0x" << std::hex
+                          << digest;
+            continue;
+        }
+        EXPECT_EQ(it->second, digest)
+            << "got 0x" << std::hex << digest;
+    }
+}
+
+// ---- lanes sharing one demand front-end ----
+
+/** Lanes of the shared-front-end tests: the baseline ("") and one
+ *  lane per engine kind, the two L2-sink engines included. */
+const std::vector<std::string> kLaneEngines = {"",    "stride", "tms",
+                                               "sms", "stems",  "tms+sms"};
+
+/** Boundary blobs keyed by (lane, record index). */
+using BlobMap =
+    std::map<std::pair<std::size_t, std::size_t>, std::vector<std::uint8_t>>;
+
+/** Run `names` as lanes of one batch over `trace`, capturing every
+ *  lane's blob at each of `bounds`; returns the lanes' stats. */
+std::vector<SimStats>
+runBatchCapturing(const std::vector<std::string> &names, const Trace &trace,
+                  std::size_t warmup, const std::vector<std::size_t> &bounds,
+                  BlobMap &blobs)
+{
+    SimParams params = timedParams();
+    BatchSimulator batch;
+    std::vector<std::unique_ptr<Prefetcher>> engines;
+    for (const std::string &name : names) {
+        engines.push_back(name.empty() ? nullptr : makeEngine(name));
+        batch.addLane(params, engines.back().get(), warmup);
+    }
+    batch.setBoundaries(bounds);
+    batch.setBoundaryCallback(
+        [&](std::size_t lane, std::size_t index, PrefetchSimulator &sim) {
+            blobs[{lane, index}] = encodeCheckpoint(sim, index);
+        });
+    batch.run(trace);
+    std::vector<SimStats> stats;
+    for (std::size_t lane = 0; lane < batch.lanes(); ++lane)
+        stats.push_back(batch.stats(lane));
+    return stats;
+}
+
+TEST(Checkpoint, BatchLaneBlobsMatchSingleLaneBlobsAtEveryBoundary)
+{
+    // The hierarchy state a lane serializes (front-end L1, shared or
+    // private L2) must be byte-equal at every boundary to the state
+    // of a lane that ran alone, for lanes that share the L2 and for
+    // the L2-sink lanes that diverge from it.
+    Trace trace = propertyTrace();
+    const std::size_t warmup = trace.size() / 3;
+    std::vector<std::size_t> bounds =
+        checkpointBounds(trace.size(), 2500);
+
+    Counter &private_lanes =
+        MetricsRegistry::instance().counter("batch.private_l2_lanes");
+    const std::uint64_t private_before = private_lanes.value();
+    BlobMap batched;
+    runBatchCapturing(kLaneEngines, trace, warmup, bounds, batched);
+    // sms and tms+sms fill the L2, so exactly they went private.
+    EXPECT_EQ(private_lanes.value() - private_before, 2u);
+
+    for (std::size_t lane = 0; lane < kLaneEngines.size(); ++lane) {
+        SCOPED_TRACE("engine '" + kLaneEngines[lane] + "'");
+        BlobMap alone;
+        runBatchCapturing({kLaneEngines[lane]}, trace, warmup, bounds,
+                          alone);
+        for (std::size_t b : bounds) {
+            SCOPED_TRACE("boundary " + std::to_string(b));
+            ASSERT_EQ(alone.count({0, b}), 1u);
+            EXPECT_EQ(batched.at({lane, b}), alone.at({0, b}));
+        }
+    }
+}
+
+TEST(Checkpoint, RestoredBatchMatchesContinuousAfterL2Divergence)
+{
+    // Checkpoint the lanes after the SMS lanes went private, restore
+    // them into a fresh batch and finish the trace: statistics and
+    // the end-of-trace blobs must equal a continuous run's. Both
+    // lane orders are tried, so the restored front-end comes once
+    // from a demand-only L2 and once from a diverged one.
+    Trace trace = propertyTrace();
+    const std::size_t warmup = trace.size() / 3;
+    const std::size_t split = trace.size() / 2;
+    const std::vector<std::size_t> bounds = {split, trace.size()};
+
+    for (const std::vector<std::string> &names :
+         {std::vector<std::string>{"", "tms", "sms"},
+          std::vector<std::string>{"sms", "", "tms+sms"}}) {
+        SCOPED_TRACE("first lane '" + names.front() + "'");
+        BlobMap continuous;
+        std::vector<SimStats> expected =
+            runBatchCapturing(names, trace, warmup, bounds, continuous);
+
+        SimParams params = timedParams();
+        BatchSimulator resumed;
+        std::vector<std::unique_ptr<Prefetcher>> engines;
+        for (std::size_t lane = 0; lane < names.size(); ++lane) {
+            engines.push_back(names[lane].empty() ? nullptr
+                                                  : makeEngine(names[lane]));
+            auto sim =
+                std::make_unique<PrefetchSimulator>(params, engines.back().get());
+            ASSERT_TRUE(decodeCheckpoint(continuous.at({lane, split}), *sim));
+            ASSERT_EQ(resumed.addRestoredLane(std::move(sim), warmup), lane);
+        }
+        BlobMap ends;
+        resumed.setStart(split);
+        resumed.setBoundaries({trace.size()});
+        resumed.setBoundaryCallback(
+            [&](std::size_t lane, std::size_t index, PrefetchSimulator &sim) {
+                ends[{lane, index}] = encodeCheckpoint(sim, index);
+            });
+        resumed.run(trace);
+        for (std::size_t lane = 0; lane < names.size(); ++lane) {
+            SCOPED_TRACE("lane '" + names[lane] + "'");
+            expectSameStats(expected[lane], resumed.stats(lane));
+            EXPECT_EQ(ends.at({lane, trace.size()}),
+                      continuous.at({lane, trace.size()}));
+        }
+    }
+}
+
+TEST(Checkpoint, RestoredLaneWithDifferentL1IsRefused)
+{
+    Trace trace = propertyTrace();
+    SimParams params = timedParams();
+    auto restore = [&](std::size_t index) {
+        PrefetchSimulator sim(params, nullptr);
+        stepSpan(sim, trace, 0, index, 0);
+        auto blob = encodeCheckpoint(sim, index);
+        auto restored = std::make_unique<PrefetchSimulator>(params, nullptr);
+        EXPECT_TRUE(decodeCheckpoint(blob, *restored));
+        return restored;
+    };
+    BatchSimulator batch;
+    EXPECT_EQ(batch.addRestoredLane(restore(4000)), 0u);
+    EXPECT_EQ(batch.addRestoredLane(restore(4000)), 1u);
+    EXPECT_EQ(batch.addRestoredLane(restore(3000)), 2u); // refused
+    EXPECT_EQ(batch.lanes(), 2u);
+}
+
 // ---- driver-level checkpointed execution ----
 
 class SegmentedDriverTest : public test::TempDirTest
@@ -408,6 +601,59 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
     auto expected =
         reference.run({"dss-qry17"}, engineSpecs(engines));
     expectSameResults(expected, results);
+}
+
+TEST_F(SegmentedDriverTest, LanesResumingAtDifferentIndicesRunAsSeparatePasses)
+{
+    // Lanes of one pass share a front-end, so they start at one
+    // index. With one lane's newest checkpoint gone, the extended
+    // run resumes that lane from an older one in a pass of its own;
+    // the results stay those of a storeless run.
+    const std::vector<std::string> engines = {"sms", "stems"};
+    ExperimentConfig short_cfg = smallConfig(false, 20000);
+    short_cfg.warmupRecords = 8000;
+    SweepPlan short_plan = configPlan(short_cfg, 2);
+    short_plan.checkpointEvery = 6000;
+    auto store = std::make_shared<TraceStore>(dir_);
+    ExperimentDriver first;
+    first.applyPlan(short_plan);
+    first.setStore(store);
+    first.run({"dss-qry17"}, engineSpecs(engines));
+    const std::size_t short_size =
+        makeWorkload("dss-qry17")->generate(short_cfg.seed, 20000).size();
+
+    const std::uint64_t stems_spec =
+        engineSpecDigest("stems", EngineOptions{});
+    const std::uint64_t config = checkpointConfigDigest(short_cfg);
+    auto keys = store->listCheckpoints(stems_spec, config);
+    ASSERT_FALSE(keys.empty());
+    auto newest = std::max_element(
+        keys.begin(), keys.end(),
+        [](const auto &a, const auto &b) { return a.index < b.index; });
+    ASSERT_EQ(newest->index, short_size);
+    store->dropCheckpoint(stems_spec, config, newest->index,
+                          newest->stateDigest);
+    ASSERT_EQ(store->listCheckpoints(stems_spec, config).size(),
+              keys.size() - 1);
+
+    ExperimentConfig long_cfg = smallConfig(false, 40000);
+    long_cfg.warmupRecords = 8000;
+    SweepPlan long_plan = configPlan(long_cfg, 2);
+    long_plan.checkpointEvery = 6000;
+    ExperimentDriver extended;
+    extended.applyPlan(long_plan);
+    extended.setStore(store);
+    auto results = extended.run({"dss-qry17"}, engineSpecs(engines));
+
+    // Baseline and sms resume at the short run's end; stems at its
+    // last on-schedule checkpoint before it.
+    EXPECT_EQ(extended.resumedRuns(), 3u);
+    EXPECT_EQ(extended.resumedRecordsSkipped(),
+              2 * short_size + (short_size / 6000) * 6000);
+
+    ExperimentDriver reference(long_cfg, 2);
+    expectSameResults(
+        reference.run({"dss-qry17"}, engineSpecs(engines)), results);
 }
 
 TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)

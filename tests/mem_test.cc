@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/state_codec.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/svb.hh"
@@ -84,9 +85,9 @@ TEST(Cache, PrefetchTagLifecycle)
 {
     Cache c = tinyCache();
     c.insert(0x3000, /*prefetched=*/true);
-    EXPECT_TRUE(c.isPrefetchedUnreferenced(0x3000));
-    c.access(0x3000);
-    EXPECT_FALSE(c.isPrefetchedUnreferenced(0x3000));
+    // The first demand reference is the one the prefetch covered.
+    EXPECT_EQ(c.lookup(0x3000), Cache::Lookup::kPrefetchHit);
+    EXPECT_EQ(c.lookup(0x3000), Cache::Lookup::kHit);
 }
 
 TEST(Cache, VictimReportsPrefetchMetadata)
@@ -103,6 +104,158 @@ TEST(Cache, VictimReportsPrefetchMetadata)
     EXPECT_EQ(victim->addr, a);
     EXPECT_TRUE(victim->prefetched);
     EXPECT_FALSE(victim->referenced);
+}
+
+// ---- hostile checkpoint payloads ----
+
+/** One valid line of a hand-built Cache payload. */
+struct PayloadLine
+{
+    std::size_t slot;   ///< set * ways + way
+    std::uint64_t tag;  ///< block number
+    std::uint64_t lru;
+};
+
+/** A tinyCache() (2 sets x 2 ways) state payload holding `lines`,
+ *  with recency clock `clock`, in Cache::saveState's layout. */
+std::vector<std::uint8_t>
+cachePayload(const std::vector<PayloadLine> &lines, std::uint64_t clock)
+{
+    StateWriter w;
+    w.tag(stateTag('C', 'A', 'C', 'H'));
+    w.u64(2); // sets
+    w.u64(2); // ways
+    w.u64(clock);
+    w.u64(0); // accesses
+    w.u64(0); // misses
+    for (std::size_t slot = 0; slot < 4; ++slot) {
+        const PayloadLine *line = nullptr;
+        for (const PayloadLine &l : lines)
+            if (l.slot == slot)
+                line = &l;
+        w.boolean(line != nullptr);
+        if (!line)
+            continue;
+        w.u64(line->tag);
+        w.u64(line->lru);
+        w.boolean(false); // prefetched
+        w.boolean(true);  // referenced
+    }
+    return w.take();
+}
+
+bool
+cacheLoads(const std::vector<std::uint8_t> &payload)
+{
+    Cache c = tinyCache();
+    StateReader r(payload.data(), payload.size());
+    c.loadState(r);
+    return r.atEnd();
+}
+
+TEST(Cache, LoadAcceptsConsistentPayload)
+{
+    // Blocks 2 and 4 in set 0, block 3 in set 1.
+    EXPECT_TRUE(cacheLoads(
+        cachePayload({{0, 2, 1}, {1, 4, 3}, {2, 3, 2}}, 3)));
+
+    Cache c = tinyCache();
+    c.insert(0x0);
+    c.insert(0x40, /*prefetched=*/true);
+    c.access(0x0);
+    StateWriter w;
+    c.saveState(w);
+    EXPECT_TRUE(cacheLoads(w.bytes()));
+}
+
+TEST(Cache, LoadRejectsLineInWrongSet)
+{
+    // Block 3 is odd, so it belongs to set 1, not slot 0's set 0.
+    EXPECT_FALSE(cacheLoads(cachePayload({{0, 3, 1}}, 1)));
+}
+
+TEST(Cache, LoadRejectsDuplicateTagInSet)
+{
+    EXPECT_FALSE(cacheLoads(cachePayload({{0, 2, 1}, {1, 2, 2}}, 2)));
+}
+
+TEST(Cache, LoadRejectsValidLineWithZeroStamp)
+{
+    // Stamp 0 marks a free way: a "valid" line carrying it would be
+    // silently dropped instead of restored.
+    EXPECT_FALSE(cacheLoads(cachePayload({{0, 2, 0}}, 1)));
+}
+
+TEST(Cache, LoadRejectsStampAboveClock)
+{
+    EXPECT_FALSE(cacheLoads(cachePayload({{0, 2, 5}}, 4)));
+}
+
+/** One valid slot of a hand-built SVB payload. */
+struct PayloadEntry
+{
+    std::size_t slot;
+    std::uint64_t lru;
+    Addr addr;
+};
+
+/** A 4-entry SVB state payload in StreamedValueBuffer::saveState's
+ *  layout. */
+std::vector<std::uint8_t>
+svbPayload(const std::vector<PayloadEntry> &entries, std::uint64_t clock)
+{
+    StateWriter w;
+    w.tag(stateTag('S', 'V', 'B', '1'));
+    w.u64(4); // capacity
+    w.u64(clock);
+    for (std::size_t slot = 0; slot < 4; ++slot) {
+        const PayloadEntry *entry = nullptr;
+        for (const PayloadEntry &e : entries)
+            if (e.slot == slot)
+                entry = &e;
+        w.boolean(entry != nullptr);
+        if (!entry)
+            continue;
+        w.u64(entry->lru);
+        w.u64(entry->addr);
+        w.i64(0); // stream
+        w.u64(0); // ready time
+    }
+    return w.take();
+}
+
+bool
+svbLoads(const std::vector<std::uint8_t> &payload)
+{
+    StreamedValueBuffer svb(4);
+    StateReader r(payload.data(), payload.size());
+    svb.loadState(r);
+    return r.atEnd();
+}
+
+TEST(Svb, LoadAcceptsConsistentPayload)
+{
+    EXPECT_TRUE(svbLoads(svbPayload({{0, 2, 0x40}, {3, 1, 0x80}}, 2)));
+}
+
+TEST(Svb, LoadRejectsDuplicateAddress)
+{
+    EXPECT_FALSE(svbLoads(svbPayload({{0, 1, 0x40}, {2, 2, 0x40}}, 2)));
+}
+
+TEST(Svb, LoadRejectsUnalignedAddress)
+{
+    EXPECT_FALSE(svbLoads(svbPayload({{0, 1, 0x44}}, 1)));
+}
+
+TEST(Svb, LoadRejectsZeroStamp)
+{
+    EXPECT_FALSE(svbLoads(svbPayload({{0, 0, 0x40}}, 1)));
+}
+
+TEST(Svb, LoadRejectsStampAboveClock)
+{
+    EXPECT_FALSE(svbLoads(svbPayload({{0, 3, 0x40}}, 2)));
 }
 
 TEST(Hierarchy, L1ThenL2ThenMemory)

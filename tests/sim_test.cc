@@ -345,40 +345,6 @@ TEST(BatchSim, LanesMatchStandaloneSimulators)
     }
 }
 
-TEST(BatchSim, ParallelLanesMatchSerialLanes)
-{
-    // Lane-level parallelism is an execution detail: jobs > 1 must
-    // not change any lane's statistics.
-    auto w = makeWorkload("web-apache");
-    Trace t = w->generate(3, 20000);
-    std::size_t warmup = t.size() / 2;
-    SystemConfig system = defaultSystemConfig();
-    SimParams params;
-    params.hierarchy = system.hierarchy;
-    const EngineRegistry &registry = EngineRegistry::instance();
-
-    auto run_with = [&](unsigned jobs) {
-        BatchSimulator batch;
-        std::vector<std::unique_ptr<Prefetcher>> lane_engines;
-        for (const char *name : {"stride", "tms", "sms", "stems"}) {
-            lane_engines.push_back(registry.make(name, system, {}));
-            batch.addLane(params, lane_engines.back().get(),
-                          warmup);
-        }
-        batch.run(t, jobs);
-        std::vector<SimStats> out;
-        for (std::size_t i = 0; i < batch.lanes(); ++i)
-            out.push_back(batch.stats(i));
-        return out;
-    };
-
-    auto serial = run_with(1);
-    auto parallel = run_with(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectBitwiseEqualStats(serial[i], parallel[i]);
-}
-
 TEST(BatchSim, TraceSourceRunMatchesVectorRun)
 {
     auto w = makeWorkload("em3d");
