@@ -54,7 +54,7 @@ usage(const char *argv0, int status)
         "  --seed N           trace-generation seed (default: 42)\n"
         "  --workloads a,b,c  restrict the workload sweep\n"
         "  --engines x,y      restrict the engine sweep\n"
-        "  --store DIR        persistent trace/baseline store\n"
+        "  --store DIR        persistent trace/result store\n"
         "                     (default: $STEMS_STORE when set)\n"
         "  --no-store         disable the store even if STEMS_STORE\n"
         "                     is set\n"
@@ -465,14 +465,13 @@ storeStatsLine(const MetricsSnapshot &snap)
     std::snprintf(
         line, sizeof(line),
         "[store] generations=%llu traceHits=%llu "
-        "baselineSims=%llu baselineHits=%llu "
+        "baselineSims=%llu "
         "engineSims=%llu resultHits=%llu resultMisses=%llu "
         "batchedSims=%llu resumedSims=%llu "
         "skippedRecords=%llu checkpointsWritten=%llu",
         counter("driver.trace.generated"),
         counter("store.trace.hit"),
         counter("driver.cell.baseline"),
-        counter("store.baseline.hit"),
         counter("driver.cell.engine"),
         counter("store.result.hit"),
         counter("store.result.miss"),

@@ -18,8 +18,8 @@
  * working.
  *
  * `--store DIR` (or the STEMS_STORE environment variable) attaches a
- * persistent TraceStore, so re-runs replay traces and baselines from
- * disk instead of regenerating/resimulating them; `--no-store` forces
+ * persistent TraceStore, so re-runs replay traces and cell results
+ * from disk instead of regenerating/resimulating them; `--no-store` forces
  * the store off even when STEMS_STORE is set. `--json FILE` writes
  * the sweep results machine-readably for perf-trajectory tracking.
  * `--no-batch` disables the driver's batched execution (one trace
@@ -63,7 +63,7 @@ struct BenchOptions
     std::vector<std::string> workloads;
     /// Engines to sweep; empty = the bench's default set.
     std::vector<std::string> engines;
-    /// Persistent trace/baseline store directory; empty = no store.
+    /// Persistent trace/result store directory; empty = no store.
     std::string storeDir;
     /// Machine-readable results output path; empty = none.
     std::string jsonPath;

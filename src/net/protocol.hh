@@ -14,7 +14,7 @@
  * requesting work units (kRequestUnit -> kUnit). A unit is a whole
  * workload row or one (workload, engine-column) cell
  * (net/units.hh); executing it runs the same driver lane path a
- * local sweep uses, persisting baselines, checkpoints and results
+ * local sweep uses, persisting checkpoints and per-cell results
  * into the shared store. kUnitDone reports completion; when every
  * unit of the plan is complete the coordinator answers pending
  * requests with kBye.

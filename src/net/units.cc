@@ -4,6 +4,7 @@
 #include <map>
 
 #include "sim/config.hh"
+#include "sim/driver.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "trace/trace_io.hh"
@@ -14,32 +15,20 @@ namespace stems {
 namespace {
 
 /**
- * Checkpoint spec digests of one cell's lanes — the same identities
- * driver.cc's cell_ckpt_spec writes checkpoints under: the baseline
- * column is the no-prefetch lane plus, under timing, the stride
- * reference lane; an engine column is the engine spec without
- * labels or probes (a probe reads state post-run; it cannot change
- * the simulation a checkpoint captures).
+ * Checkpoint spec digests of one cell unit's lanes: the driver's own
+ * columns (sweepColumns) whose wire column is `column` — the
+ * no-prefetch lane plus, under timing, the stride reference lane for
+ * the baseline column; the one engine lane otherwise.
  */
 std::vector<std::uint64_t>
 columnCkptSpecs(const SweepPlan &plan, bool scientific,
                 std::int32_t column)
 {
     std::vector<std::uint64_t> specs;
-    if (column < 0) {
-        specs.push_back(storeDigest("cell:baseline:v1"));
-        if (plan.timing) {
-            EngineOptions options;
-            options.scientific = scientific;
-            specs.push_back(engineSpecDigest("stride", options));
-        }
-        return specs;
-    }
-    const PlanEngine &e =
-        plan.engines[static_cast<std::size_t>(column)];
-    EngineOptions options = e.options;
-    options.scientific = options.scientific || scientific;
-    specs.push_back(engineSpecDigest(e.engine, options));
+    for (const SweepColumn &c :
+         sweepColumns(planEngineSpecs(plan), plan.timing, scientific))
+        if (c.engineIndex == column)
+            specs.push_back(c.ckptSpecDigest);
     return specs;
 }
 
@@ -140,6 +129,8 @@ unitLastCheckpointIndex(const SweepPlan &plan, const WorkUnit &unit,
         plan,
         workload->workloadClass() == WorkloadClass::kScientific,
         unit.column);
+    if (specs.empty())
+        return 0; // an engine the registry does not know never runs
 
     SpecListings memo;
     std::vector<std::size_t> candidates;

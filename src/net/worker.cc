@@ -141,22 +141,17 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
             setError(error, "unit engine column out of range");
             return false;
         }
-        switch (unit.kind) {
-        case UnitKind::kWorkload: {
-            SweepPlan unit_plan = plan;
-            unit_plan.workloads = {unit.workload};
-            driver.run(unit_plan);
-            break;
-        }
-        case UnitKind::kCell: {
-            std::vector<EngineSpec> specs;
-            if (unit.column >= 0)
-                specs.push_back(engine_specs[static_cast<std::size_t>(
-                    unit.column)]);
-            driver.run({unit.workload}, specs);
-            break;
-        }
-        }
+        // A cell unit runs the reference columns plus at most one
+        // engine column; the baseline column (-1) runs none.
+        SweepPlan unit_plan = plan;
+        unit_plan.workloads = {unit.workload};
+        std::vector<EngineSpec> specs;
+        if (unit.kind == UnitKind::kWorkload)
+            specs = engine_specs;
+        else if (unit.column >= 0)
+            specs.push_back(
+                engine_specs[static_cast<std::size_t>(unit.column)]);
+        driver.run(unit_plan, specs);
         out.unitsCompleted++;
         MetricsRegistry::instance()
             .counter("worker.units.completed")
@@ -220,10 +215,8 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
             }
             plan_digest = plan_msg.planDigest;
             engine_specs = planEngineSpecs(plan);
-            // One driver for the whole session: policy from the
-            // plan, the shared store attached, baseline cache warm
-            // across units.
-            driver.applyPlan(plan);
+            // One driver for the whole session with the shared store
+            // attached; each unit's run applies the plan's policy.
             driver.setStore(store);
             have_plan = true;
         } else if (plan_msg.planDigest != plan_digest) {

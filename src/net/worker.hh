@@ -5,9 +5,9 @@
  * workload rows or (workload, engine-column) cells
  * (net/units.hh) — through the exact same
  * ExperimentDriver lane path a local sweep uses, persisting
- * baselines, checkpoints and per-engine results into the shared
- * content-addressed store. The wire never carries results; the
- * store is the data plane.
+ * checkpoints and per-cell results (baseline and stride columns
+ * included) into the shared content-addressed store. The wire
+ * never carries results; the store is the data plane.
  *
  * The worker re-derives the plan digest from the JSON it parsed and
  * refuses a coordinator whose digest disagrees (a mismatch means

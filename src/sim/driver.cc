@@ -84,17 +84,17 @@ struct WorkloadShard
     std::size_t traceSize = 0;
     std::atomic<std::size_t> remainingCells{0};
 
-    bool needBaseline = false;
-    bool needStride = false;
-    /// Baseline metrics (from the cache, or filled by the baseline /
-    /// stride cells; those cells write disjoint fields).
-    std::uint64_t baselineMisses = 0;
-    double baselineCycles = 0.0;
-    double strideCycles = 0.0;
-    double strideIpc = 0.0;
+    /// The workload's columns (sweepColumns) and, per column, its
+    /// statistics, probe extras, and whether it was served from the
+    /// store's result cache at schedule time (so it was never
+    /// scheduled and must not be re-persisted).
+    std::vector<SweepColumn> columns;
+    std::vector<SimStats> stats;
+    std::vector<std::map<std::string, double>> extra;
+    std::vector<std::uint8_t> fromCache;
 
     /// Persistent-store state: registry workloads with an attached
-    /// store replay traces from disk and key stored baselines by the
+    /// store replay traces from disk and key stored results by the
     /// trace's content digest.
     bool storeEligible = false;
     std::uint64_t traceDigest = 0;
@@ -105,46 +105,13 @@ struct WorkloadShard
     /// digest at each boundary. Empty when checkpointing is off.
     std::vector<std::size_t> ckptBounds;
     std::vector<std::uint64_t> ckptBoundPrefixes;
-
-    std::vector<SimStats> engineStats;
-    std::vector<std::map<std::string, double>> engineExtra;
-    /// Per engine: cell served from the store's result cache, so it
-    /// was never scheduled (and must not be re-persisted).
-    std::vector<std::uint8_t> engineFromCache;
 };
-
-/** A spec that carries an anonymous probe cannot be result-cached:
- *  the probe's output is part of the result but its code has no
- *  stable identity. Naming the probe (probeId) opts back in. */
-bool
-specResultCacheable(const EngineSpec &spec)
-{
-    return !spec.probe || !spec.probeId.empty();
-}
-
-/** Digest of everything (besides trace + system config) that
- *  determines an engine cell's result. */
-std::uint64_t
-specResultDigest(const EngineSpec &spec, bool scientific)
-{
-    EngineOptions effective = spec.options;
-    effective.scientific = effective.scientific || scientific;
-    return engineSpecDigest(spec.engine, effective, spec.probeId);
-}
 
 /** One unit of work: a single simulation over one shard's trace. */
 struct Cell
 {
-    enum Kind
-    {
-        kBaseline,
-        kStride,
-        kEngine,
-    };
-
     std::size_t shard = 0;
-    Kind kind = kEngine;
-    std::size_t spec = 0; ///< engine index (kEngine only)
+    std::size_t column = 0; ///< index into the shard's columns
 };
 
 } // namespace
@@ -169,6 +136,44 @@ planEngineSpecs(const SweepPlan &plan)
     return specs;
 }
 
+std::vector<SweepColumn>
+sweepColumns(const std::vector<EngineSpec> &engines, bool timing,
+             bool scientific)
+{
+    std::vector<SweepColumn> columns;
+    SweepColumn baseline;
+    baseline.label = "baseline";
+    baseline.ckptSpecDigest = storeDigest("cell:baseline:v1");
+    baseline.resultSpecDigest = baseline.ckptSpecDigest;
+    columns.push_back(std::move(baseline));
+    if (timing) {
+        SweepColumn stride;
+        stride.label = stride.engine = "stride";
+        stride.options.scientific = scientific;
+        stride.ckptSpecDigest = engineSpecDigest("stride", stride.options);
+        stride.resultSpecDigest = stride.ckptSpecDigest;
+        columns.push_back(std::move(stride));
+    }
+    const EngineRegistry &registry = EngineRegistry::instance();
+    for (std::size_t j = 0; j < engines.size(); ++j) {
+        const EngineSpec &spec = engines[j];
+        if (!registry.contains(spec.engine))
+            continue;
+        SweepColumn c;
+        c.label = spec.resultLabel();
+        c.engine = spec.engine;
+        c.options = spec.options;
+        c.options.scientific = c.options.scientific || scientific;
+        c.engineIndex = static_cast<std::int32_t>(j);
+        c.ckptSpecDigest = engineSpecDigest(c.engine, c.options);
+        c.resultSpecDigest =
+            engineSpecDigest(c.engine, c.options, spec.probeId);
+        c.resultCacheable = !spec.probe || !spec.probeId.empty();
+        columns.push_back(std::move(c));
+    }
+    return columns;
+}
+
 unsigned
 ExperimentDriver::resolveJobs(unsigned jobs)
 {
@@ -184,20 +189,12 @@ ExperimentDriver::ExperimentDriver(ExperimentConfig config,
 }
 
 void
-ExperimentDriver::clearBaselineCache()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    baselineCache_.clear();
-}
-
-void
 ExperimentDriver::setStore(std::shared_ptr<TraceStore> store)
 {
     store_ = std::move(store);
     if (store_) {
         // The store's key vocabulary lives in store/keys.hh; the
-        // driver only caches the three config-context digests here.
-        configDigest_ = baselineConfigDigest(config_);
+        // driver only caches the two config-context digests here.
         resultConfigDigest_ = stems::resultConfigDigest(config_);
         ckptConfigDigest_ = checkpointConfigDigest(config_);
     }
@@ -208,18 +205,7 @@ ExperimentDriver::applyPlan(const SweepPlan &plan)
 {
     ExperimentConfig next = planExperimentConfig(plan);
     next.system = config_.system;
-    // The name-keyed baseline cache describes the old trace/warmup
-    // configuration; a changed plan would silently serve stale
-    // baselines without this.
-    const bool trace_knobs_changed =
-        next.traceRecords != config_.traceRecords ||
-        next.seed != config_.seed ||
-        next.warmupFraction != config_.warmupFraction ||
-        next.warmupRecords != config_.warmupRecords ||
-        next.enableTiming != config_.enableTiming;
     config_ = next;
-    if (trace_knobs_changed)
-        clearBaselineCache();
     jobs_ = resolveJobs(plan.jobs);
     batching_ = plan.batch;
     checkpointEvery_ =
@@ -242,7 +228,7 @@ ExperimentDriver::materializeTrace(
         Trace trace;
         if (store_->loadTrace(key, trace)) {
             // Hash the records actually loaded rather than trusting
-            // (and re-reading) the meta sidecar: baselines stay
+            // (and re-reading) the meta sidecar: results stay
             // keyed to the true content even if a meta file is
             // stale, at no extra I/O.
             if (digest_out)
@@ -315,9 +301,6 @@ ExperimentDriver::runCells(
     std::optional<std::uint64_t> external_digest)
 {
     const EngineRegistry &registry = EngineRegistry::instance();
-    std::vector<bool> spec_known(engines.size());
-    for (std::size_t j = 0; j < engines.size(); ++j)
-        spec_known[j] = registry.contains(engines[j].engine);
 
     // ---- schedule ----
     // Phase spans end early (before the next phase), so they live
@@ -334,16 +317,17 @@ ExperimentDriver::runCells(
         shard->workload = w;
         shard->scientific =
             w->workloadClass() == WorkloadClass::kScientific;
-        shard->engineStats.resize(engines.size());
-        shard->engineExtra.resize(engines.size());
-        shard->engineFromCache.assign(engines.size(), 0);
+        shard->columns = sweepColumns(engines, config_.enableTiming,
+                                      shard->scientific);
+        const std::size_t num_columns = shard->columns.size();
+        shard->stats.resize(num_columns);
+        shard->extra.resize(num_columns);
+        shard->fromCache.assign(num_columns, 0);
 
-        shard->needBaseline = true;
-        shard->needStride = config_.enableTiming;
         shard->storeEligible = cacheable && store_ != nullptr;
         if (shard->storeEligible) {
             // Metadata-only probe: learn the trace's content digest
-            // (the stored-baseline key) without decoding any records.
+            // (the stored-result key) without decoding any records.
             if (auto info = store_->findTrace(
                     {w->name(), config_.traceRecords,
                      config_.seed})) {
@@ -352,108 +336,34 @@ ExperimentDriver::runCells(
             }
         } else if (store_ && external_digest) {
             // External workload with a caller-vouched trace digest
-            // (a captured/imported trace): stored baselines apply
+            // (a captured/imported trace): stored results apply
             // even though the name-keyed trace replay does not.
             shard->traceDigest = *external_digest;
             shard->digestValid = true;
         }
-        if (cacheable) {
-            std::lock_guard<std::mutex> lock(cacheMutex_);
-            auto it = baselineCache_.find(w->name());
-            if (it != baselineCache_.end()) {
-                const Baseline &b = it->second;
-                // A functional-only cache entry has valid misses but
-                // no cycle accounting; a timing run must redo it.
-                bool timed_enough =
-                    !config_.enableTiming || b.cycles > 0.0;
-                if (timed_enough) {
-                    shard->needBaseline = false;
-                    shard->baselineMisses = b.misses;
-                    shard->baselineCycles = b.cycles;
-                    if (b.haveStride) {
-                        shard->needStride = false;
-                        shard->strideCycles = b.strideCycles;
-                        shard->strideIpc = b.strideIpc;
-                    }
-                }
-            }
-        }
-        if ((shard->needBaseline || shard->needStride) &&
-            shard->digestValid) {
-            // Second-level lookup: the persistent store, keyed by
-            // trace digest + system-config digest.
-            if (auto b = store_->loadBaseline(shard->traceDigest,
-                                              configDigest_)) {
-                bool timed_enough =
-                    !config_.enableTiming || b->haveTiming;
-                if (timed_enough) {
-                    if (shard->needBaseline) {
-                        shard->needBaseline = false;
-                        shard->baselineMisses = b->misses;
-                        shard->baselineCycles = b->cycles;
-                    }
-                    if (shard->needStride && b->haveStride) {
-                        shard->needStride = false;
-                        shard->strideCycles = b->strideCycles;
-                        shard->strideIpc = b->strideIpc;
-                    }
-                }
-                if (cacheable && !shard->needBaseline &&
-                    !shard->needStride) {
-                    // Mirror into the in-memory cache so later
-                    // run() calls skip the disk probe.
-                    std::lock_guard<std::mutex> lock(cacheMutex_);
-                    Baseline &mb = baselineCache_[w->name()];
-                    mb.misses = shard->baselineMisses;
-                    mb.cycles = shard->baselineCycles;
-                    if (config_.enableTiming) {
-                        mb.strideCycles = shard->strideCycles;
-                        mb.strideIpc = shard->strideIpc;
-                        mb.haveStride = true;
-                    }
-                }
-            }
-        }
 
-        if (store_ && shard->digestValid) {
-            // Probe the engine-result cache at schedule time: a warm
-            // cell is merged straight from the store and never
-            // scheduled, so a fully warm sweep dispatches no work at
-            // all (and never even materializes the trace).
-            for (std::size_t j = 0; j < engines.size(); ++j) {
-                if (!spec_known[j] ||
-                    !specResultCacheable(engines[j]))
-                    continue;
-                if (auto r = store_->loadResult(
-                        shard->traceDigest,
-                        specResultDigest(engines[j],
-                                         shard->scientific),
-                        resultConfigDigest_)) {
-                    shard->engineStats[j] = r->stats;
-                    shard->engineExtra[j] = std::move(r->extra);
-                    shard->engineFromCache[j] = 1;
-                }
-            }
-        }
-
-        std::size_t shard_index = shards.size();
+        // Probe the result cache at schedule time: a warm cell is
+        // merged straight from the store and never scheduled, so a
+        // fully warm sweep dispatches no work at all (and never even
+        // materializes the trace).
+        const std::size_t shard_index = shards.size();
         std::size_t count = 0;
-        if (shard->needBaseline) {
-            cells.push_back({shard_index, Cell::kBaseline, 0});
+        for (std::size_t c = 0; c < num_columns; ++c) {
+            const SweepColumn &column = shard->columns[c];
+            if (store_ && shard->digestValid &&
+                column.resultCacheable) {
+                if (auto r = store_->loadResult(
+                        shard->traceDigest, column.resultSpecDigest,
+                        resultConfigDigest_)) {
+                    shard->stats[c] = r->stats;
+                    shard->extra[c] = std::move(r->extra);
+                    shard->fromCache[c] = 1;
+                    continue;
+                }
+            }
+            cells.push_back({shard_index, c});
             ++count;
-            ++baseline_cells;
-        }
-        if (shard->needStride) {
-            cells.push_back({shard_index, Cell::kStride, 0});
-            ++count;
-            ++baseline_cells;
-        }
-        for (std::size_t j = 0; j < engines.size(); ++j) {
-            if (!spec_known[j] || shard->engineFromCache[j])
-                continue;
-            cells.push_back({shard_index, Cell::kEngine, j});
-            ++count;
-            ++engine_cells;
+            ++(column.engineIndex < 0 ? baseline_cells : engine_cells);
         }
         shard->remainingCells.store(count);
         shards.push_back(std::move(shard));
@@ -517,87 +427,13 @@ ExperimentDriver::runCells(
         return checkpointStateDigest(prefix_digest, index, warmup);
     };
 
-    /** Checkpoint identity of a cell's simulator: the engine spec
-     *  without labels or probe ids (a probe reads state post-run; it
-     *  cannot change the simulation a checkpoint captures). */
-    auto cell_ckpt_spec = [&](const Cell &cell,
-                              const WorkloadShard &shard)
-        -> std::uint64_t {
-        switch (cell.kind) {
-        case Cell::kBaseline:
-            return storeDigest("cell:baseline:v1");
-        case Cell::kStride: {
-            EngineOptions options;
-            options.scientific = shard.scientific;
-            return engineSpecDigest("stride", options);
-        }
-        case Cell::kEngine:
-        default: {
-            const EngineSpec &spec = engines[cell.spec];
-            EngineOptions options = spec.options;
-            options.scientific =
-                options.scientific || shard.scientific;
-            return engineSpecDigest(spec.engine, options);
-        }
-        }
-    };
-
-    auto cell_label = [&](const Cell &cell) -> std::string {
-        switch (cell.kind) {
-        case Cell::kBaseline:
-            return "baseline";
-        case Cell::kStride:
-            return "stride";
-        case Cell::kEngine:
-        default:
-            return engines[cell.spec].resultLabel();
-        }
-    };
-
-    /** Build the cell's engine (null for the baseline cell). */
+    /** Build the column's engine (null for the baseline). */
     auto make_cell_engine =
-        [&](const Cell &cell,
-            const WorkloadShard &shard) -> std::unique_ptr<Prefetcher> {
-        if (cell.kind == Cell::kBaseline)
+        [&](const SweepColumn &column) -> std::unique_ptr<Prefetcher> {
+        if (column.engine.empty())
             return nullptr;
-        if (cell.kind == Cell::kStride) {
-            EngineOptions options;
-            options.scientific = shard.scientific;
-            return registry.make("stride", config_.system, options);
-        }
-        const EngineSpec &spec = engines[cell.spec];
-        EngineOptions options = spec.options;
-        options.scientific = options.scientific || shard.scientific;
-        return registry.make(spec.engine, config_.system, options);
-    };
-
-    /** Record one finished cell's statistics into its shard. */
-    auto collect_cell = [&](const Cell &cell, WorkloadShard &shard,
-                            const SimStats &stats,
-                            Prefetcher *engine) {
-        switch (cell.kind) {
-        case Cell::kBaseline:
-            shard.baselineMisses = stats.offChipReads;
-            shard.baselineCycles = stats.cycles;
-            break;
-        case Cell::kStride:
-            shard.strideCycles = stats.cycles;
-            shard.strideIpc = stats.ipc();
-            break;
-        case Cell::kEngine: {
-            const EngineSpec &spec = engines[cell.spec];
-            shard.engineStats[cell.spec] = stats;
-            if (spec.probe) {
-                EngineResult scratch;
-                scratch.engine = spec.resultLabel();
-                scratch.stats = stats;
-                spec.probe(*engine, scratch);
-                shard.engineExtra[cell.spec] =
-                    std::move(scratch.extra);
-            }
-            break;
-        }
-        }
+        return registry.make(column.engine, config_.system,
+                             column.options);
     };
 
     /**
@@ -634,7 +470,9 @@ ExperimentDriver::runCells(
             group.size());
         std::vector<std::unique_ptr<PrefetchSimulator>> restored(
             group.size());
-        std::vector<std::uint64_t> lane_spec(group.size(), 0);
+        auto column = [&](std::size_t k) -> const SweepColumn & {
+            return shard.columns[group[k].column];
+        };
 
         /**
          * Resume probe for cell k: the newest stored checkpoint below
@@ -653,7 +491,7 @@ ExperimentDriver::runCells(
         auto resume_cell = [&](std::size_t k, std::size_t limit) {
             ScopedSpan resume_span("ckpt.resume", "ckpt");
             auto candidates = store_->listCheckpointIndices(
-                lane_spec[k], ckptConfigDigest_);
+                column(k).ckptSpecDigest, ckptConfigDigest_);
             std::vector<std::size_t> usable;
             for (std::uint64_t c : candidates)
                 if (c > 0 && c <= shard.trace.size() && c < limit)
@@ -672,11 +510,13 @@ ExperimentDriver::runCells(
             for (std::size_t c = usable.size(); c-- > 0;) {
                 std::uint64_t state = ckpt_state_digest(
                     prefix_memo[usable[c]], usable[c], shard.warmup);
-                auto blob = store_->loadCheckpoint(
-                    lane_spec[k], ckptConfigDigest_, usable[c], state);
+                auto blob =
+                    store_->loadCheckpoint(column(k).ckptSpecDigest,
+                                           ckptConfigDigest_, usable[c],
+                                           state);
                 if (!blob)
                     continue;
-                lane_engines[k] = make_cell_engine(group[k], shard);
+                lane_engines[k] = make_cell_engine(column(k));
                 auto sim = std::make_unique<PrefetchSimulator>(
                     sim_params, lane_engines[k].get());
                 std::uint64_t decoded = 0;
@@ -690,13 +530,14 @@ ExperimentDriver::runCells(
                 // collision / code skew): drop the stale entry so a
                 // fresh one replaces it, and keep trying older
                 // candidates.
-                store_->dropCheckpoint(lane_spec[k], ckptConfigDigest_,
-                                       usable[c], state);
+                store_->dropCheckpoint(column(k).ckptSpecDigest,
+                                       ckptConfigDigest_, usable[c],
+                                       state);
             }
             if (resume == 0)
-                lane_engines[k] = make_cell_engine(group[k], shard);
+                lane_engines[k] = make_cell_engine(column(k));
             if (resume_span.active()) {
-                resume_span.arg("engine", cell_label(group[k]));
+                resume_span.arg("engine", column(k).label);
                 resume_span.arg("resume_index",
                                 static_cast<std::uint64_t>(resume));
             }
@@ -709,12 +550,10 @@ ExperimentDriver::runCells(
             passes;
         for (std::size_t k = 0; k < group.size(); ++k) {
             std::size_t resume = 0;
-            if (resumable) {
-                lane_spec[k] = cell_ckpt_spec(group[k], shard);
+            if (resumable)
                 resume = resume_cell(k, shard.trace.size() + 1);
-            } else {
-                lane_engines[k] = make_cell_engine(group[k], shard);
-            }
+            else
+                lane_engines[k] = make_cell_engine(column(k));
             passes[resume].push_back(k);
         }
 
@@ -746,7 +585,7 @@ ExperimentDriver::runCells(
                 // checkpoints of one trace prefix can: handle it like
                 // a blob that fails to decode.
                 store_->dropCheckpoint(
-                    lane_spec[k], ckptConfigDigest_, resume,
+                    column(k).ckptSpecDigest, ckptConfigDigest_, resume,
                     ckpt_state_digest(prefix_memo[resume], resume,
                                       shard.warmup));
                 passes[resume_cell(k, resume)].push_back(k);
@@ -778,11 +617,11 @@ ExperimentDriver::runCells(
                                shard.ckptBounds.begin();
                     StoredCheckpointMeta meta;
                     meta.workload = shard.workload->name();
-                    meta.engine = cell_label(group[k]);
+                    meta.engine = column(k).label;
                     meta.index = index;
                     meta.warmup = shard.warmup;
                     store_->putCheckpoint(
-                        lane_spec[k], ckptConfigDigest_, index,
+                        column(k).ckptSpecDigest, ckptConfigDigest_, index,
                         ckpt_state_digest(
                             shard.ckptBoundPrefixes
                                 [static_cast<std::size_t>(pos)],
@@ -795,7 +634,7 @@ ExperimentDriver::runCells(
 
             const bool has_engine_cell = std::any_of(
                 lane_cell.begin(), lane_cell.end(), [&](std::size_t k) {
-                    return group[k].kind == Cell::kEngine;
+                    return column(k).engineIndex >= 0;
                 });
             const auto pass_start = std::chrono::steady_clock::now();
             sim.run(shard.trace);
@@ -810,8 +649,20 @@ ExperimentDriver::runCells(
                 .record(pass_ns);
             for (std::size_t lane = 0; lane < lane_cell.size(); ++lane) {
                 const std::size_t k = lane_cell[lane];
-                collect_cell(group[k], shard, sim.stats(lane),
-                             lane_engines[k].get());
+                const std::size_t c = group[k].column;
+                shard.stats[c] = sim.stats(lane);
+                if (column(k).engineIndex < 0)
+                    continue;
+                const EngineSpec &spec =
+                    engines[static_cast<std::size_t>(
+                        column(k).engineIndex)];
+                if (spec.probe) {
+                    EngineResult scratch;
+                    scratch.engine = column(k).label;
+                    scratch.stats = shard.stats[c];
+                    spec.probe(*lane_engines[k], scratch);
+                    shard.extra[c] = std::move(scratch.extra);
+                }
             }
         }
     };
@@ -827,7 +678,7 @@ ExperimentDriver::runCells(
         ScopedSpan span("driver.cell", "driver");
         if (span.active()) {
             span.arg("workload", shard.workload->name());
-            span.arg("cell", cell_label(cell));
+            span.arg("cell", shard.columns[cell.column].label);
         }
         materialize_shard(shard);
 
@@ -942,49 +793,66 @@ ExperimentDriver::runCells(
     }
     stop_heartbeat();
 
-    // ---- update the baseline caches (in-memory, then store) ----
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        baselineRuns_ += baseline_cells;
-        engineRuns_ += engine_cells;
-        driverMetrics().cellBaseline.add(baseline_cells);
-        driverMetrics().cellEngine.add(engine_cells);
-        if (batching_) {
-            batchedRuns_ += cells.size();
-            driverMetrics().cellBatched.add(cells.size());
-        }
-        for (const auto &shard : shards) {
-            if (!cacheable ||
-                (!shard->needBaseline && !shard->needStride))
-                continue;
-            Baseline &b = baselineCache_[shard->workload->name()];
-            b.misses = shard->baselineMisses;
-            b.cycles = shard->baselineCycles;
-            if (config_.enableTiming) {
-                b.strideCycles = shard->strideCycles;
-                b.strideIpc = shard->strideIpc;
-                b.haveStride = true;
-            }
-        }
+    baselineRuns_ += baseline_cells;
+    engineRuns_ += engine_cells;
+    driverMetrics().cellBaseline.add(baseline_cells);
+    driverMetrics().cellEngine.add(engine_cells);
+    if (batching_) {
+        batchedRuns_ += cells.size();
+        driverMetrics().cellBatched.add(cells.size());
     }
+
+    /** One column's result, normalized by the reference columns:
+     *  the baseline (always column 0) and, under timing, the stride
+     *  reference (column 1). */
+    auto column_result = [&](const WorkloadShard &shard,
+                             std::size_t c) {
+        const std::uint64_t baseline_misses =
+            shard.stats[0].offChipReads;
+        EngineResult er;
+        er.engine = shard.columns[c].label;
+        er.stats = shard.stats[c];
+        er.coverage = ratio(er.stats.covered(), baseline_misses);
+        er.uncovered = ratio(er.stats.offChipReads, baseline_misses);
+        er.overprediction =
+            ratio(er.stats.overpredictions, baseline_misses);
+        if (config_.enableTiming && er.stats.cycles > 0)
+            er.speedup = shard.stats[1].cycles / er.stats.cycles;
+        er.extra = shard.extra[c];
+        return er;
+    };
+
+    // ---- persist every freshly simulated cacheable cell ----
     auto persist_span =
         std::make_unique<ScopedSpan>("driver.persist", "driver");
     bool store_wrote = false;
-    if (store_) {
-        for (const auto &shard : shards) {
-            if (!shard->digestValid ||
-                (!shard->needBaseline && !shard->needStride))
+    for (const auto &shard : shards) {
+        if (!store_ || !shard->digestValid)
+            continue;
+        for (std::size_t c = 0; c < shard->columns.size(); ++c) {
+            const SweepColumn &column = shard->columns[c];
+            if (shard->fromCache[c] || !column.resultCacheable)
                 continue;
+            const EngineResult er = column_result(*shard, c);
+            StoredResultMeta meta;
+            meta.workload = shard->workload->name();
+            meta.engine = er.engine;
+            // Registry workloads: the trace-key length. External
+            // traces: the actual replayed record count (their length
+            // is not a config knob).
+            meta.records =
+                cacheable ? config_.traceRecords : shard->traceSize;
+            meta.seed = cacheable ? config_.seed : 0;
+            meta.coverage = er.coverage;
+            meta.accuracy =
+                ratio(er.stats.covered(), er.stats.prefetchesIssued);
+            meta.speedup = er.speedup;
+            meta.timing = config_.enableTiming;
+            store_->putResult(shard->traceDigest,
+                              column.resultSpecDigest,
+                              resultConfigDigest_, {er.stats, er.extra},
+                              meta);
             store_wrote = true;
-            StoredBaseline sb;
-            sb.misses = shard->baselineMisses;
-            sb.cycles = shard->baselineCycles;
-            sb.strideCycles = shard->strideCycles;
-            sb.strideIpc = shard->strideIpc;
-            sb.haveStride = config_.enableTiming;
-            sb.haveTiming = config_.enableTiming;
-            store_->putBaseline(shard->traceDigest, configDigest_,
-                                sb);
         }
     }
     persist_span.reset();
@@ -998,59 +866,20 @@ ExperimentDriver::runCells(
         WorkloadResult r;
         r.workload = shard->workload->name();
         r.workloadClass = shard->workload->workloadClass();
-        r.baselineMisses = shard->baselineMisses;
-        r.baselineCycles = shard->baselineCycles;
-        r.strideCycles = shard->strideCycles;
-        r.baselineIpc = shard->strideIpc;
-        for (std::size_t j = 0; j < engines.size(); ++j) {
-            if (!spec_known[j])
-                continue;
-            EngineResult er;
-            er.engine = engines[j].resultLabel();
-            er.stats = shard->engineStats[j];
-            er.coverage =
-                ratio(er.stats.covered(), r.baselineMisses);
-            er.uncovered =
-                ratio(er.stats.offChipReads, r.baselineMisses);
-            er.overprediction =
-                ratio(er.stats.overpredictions, r.baselineMisses);
-            if (config_.enableTiming && er.stats.cycles > 0)
-                er.speedup = r.strideCycles / er.stats.cycles;
-            er.extra = std::move(shard->engineExtra[j]);
-            if (store_ && shard->digestValid &&
-                !shard->engineFromCache[j] &&
-                specResultCacheable(engines[j])) {
-                StoredEngineResult sr;
-                sr.stats = er.stats;
-                sr.extra = er.extra;
-                StoredResultMeta meta;
-                meta.workload = r.workload;
-                meta.engine = er.engine;
-                // Registry workloads: the trace-key length. External
-                // traces: the actual replayed record count (their
-                // length is not a config knob).
-                meta.records = cacheable ? config_.traceRecords
-                                         : shard->traceSize;
-                meta.seed = cacheable ? config_.seed : 0;
-                meta.coverage = er.coverage;
-                meta.accuracy = ratio(er.stats.covered(),
-                                      er.stats.prefetchesIssued);
-                meta.speedup = er.speedup;
-                meta.timing = config_.enableTiming;
-                store_->putResult(
-                    shard->traceDigest,
-                    specResultDigest(engines[j],
-                                     shard->scientific),
-                    resultConfigDigest_, sr, meta);
-                store_wrote = true;
-            }
-            r.engines.push_back(std::move(er));
+        r.baselineMisses = shard->stats[0].offChipReads;
+        r.baselineCycles = shard->stats[0].cycles;
+        if (config_.enableTiming) {
+            r.strideCycles = shard->stats[1].cycles;
+            r.baselineIpc = shard->stats[1].ipc();
         }
+        for (std::size_t c = 0; c < shard->columns.size(); ++c)
+            if (shard->columns[c].engineIndex >= 0)
+                r.engines.push_back(column_result(*shard, c));
         results.push_back(std::move(r));
     }
     merge_span.reset();
     if (store_wrote) {
-        // One budget pass for the whole sweep's baseline/result
+        // One budget pass for the whole sweep's result
         // writes (putTrace already self-enforces per trace).
         store_->enforceBudget();
     }
@@ -1085,12 +914,6 @@ ExperimentDriver::run(const SweepPlan &plan,
 {
     applyPlan(plan);
     return run(plan.workloads, engines);
-}
-
-std::vector<WorkloadResult>
-ExperimentDriver::runSuite(const std::vector<EngineSpec> &engines)
-{
-    return run(WorkloadRegistry::instance().names(), engines);
 }
 
 WorkloadResult

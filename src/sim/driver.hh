@@ -6,25 +6,27 @@
  * Compared with the serial ExperimentRunner, the driver
  *  - generates each workload's trace exactly once and shares it
  *    read-only across every engine run over that workload,
+ *  - runs the normalization references as ordinary columns
+ *    (sweepColumns): the no-prefetch baseline and, under timing, the
+ *    stride reference are simulated, checkpointed and result-cached
+ *    exactly like engine columns,
  *  - by default *batches* each workload's cold cells: one
- *    BatchSimulator pass traverses the trace once and advances the
- *    baseline, stride and every engine cell together instead of
- *    re-iterating the trace per cell (a plan with `batch` off
- *    restores the one-task-per-cell dispatch; results are bitwise
- *    identical either way),
- *  - caches the no-prefetch and stride baselines per workload across
- *    run() calls instead of recomputing them per call,
+ *    BatchSimulator pass traverses the trace once and advances every
+ *    column together instead of re-iterating the trace per cell (a
+ *    plan with `batch` off restores the one-task-per-cell dispatch;
+ *    results are bitwise identical either way),
  *  - releases each trace as soon as its last cell completes, bounding
  *    peak memory to the in-flight workloads, and
  *  - when a persistent TraceStore is attached (setStore), consults it
- *    before generating any trace, simulating any baseline, or
- *    simulating any engine cell (results are keyed by trace content
- *    digest + engine-spec digest + config digest), and fills it
- *    afterwards — so the amortization above also survives across
- *    processes: a fully warm-store re-run of a sweep performs zero
- *    workload generations, zero baseline simulations and zero engine
- *    simulations (traceGenerations() / baselineRuns() / engineRuns()
- *    diagnostics pin this), with bitwise-identical results.
+ *    before generating any trace or simulating any cell (results are
+ *    keyed by trace content digest + column spec digest + config
+ *    digest), and fills it afterwards — so the amortization above
+ *    also survives across processes: a fully warm-store re-run of a
+ *    sweep performs zero workload generations, zero baseline
+ *    simulations and zero engine simulations (traceGenerations() /
+ *    baselineRuns() / engineRuns() diagnostics pin this), with
+ *    bitwise-identical results. Without a store nothing is cached:
+ *    every run() simulates its reference columns again.
  *
  * Determinism: every cell (one PrefetchSimulator over one trace) is
  * independent and seeded only by the trace, and results are merged in
@@ -41,10 +43,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -108,10 +108,45 @@ engineSpecs(const std::vector<std::string> &names);
 std::vector<EngineSpec> planEngineSpecs(const SweepPlan &plan);
 
 /**
- * The parallel sweep driver. One instance owns a baseline cache tied
- * to its ExperimentConfig; reuse the instance across calls to
- * amortize the baselines.
+ * One simulated column of a sweep over one workload. Every column is
+ * scheduled, checkpointed and result-cached the same way; only the
+ * merge tells the reference columns apart, as the normalization of
+ * every engine column (paper Section 5.5).
  */
+struct SweepColumn
+{
+    /// Label in results, store sidecars and spans.
+    std::string label;
+    /// Registered engine name; empty for the no-prefetch baseline.
+    std::string engine;
+    /// Effective options: the spec's overrides with the workload
+    /// class applied.
+    EngineOptions options;
+    /// Index into the sweep's engine list; -1 for the reference
+    /// columns (the wire meaning of WorkUnit::column).
+    std::int32_t engineIndex = -1;
+    /// Checkpoint key: the simulation without labels or probes (a
+    /// probe reads state post-run; it cannot change what a
+    /// checkpoint captures).
+    std::uint64_t ckptSpecDigest = 0;
+    /// Result key: the checkpoint key plus the probe identity.
+    std::uint64_t resultSpecDigest = 0;
+    /// False for a spec with an anonymous probe: its output is part
+    /// of the result but its code has no stable identity.
+    bool resultCacheable = true;
+};
+
+/**
+ * The columns of a sweep over one workload, in lane order: the
+ * no-prefetch baseline, under timing the stride reference, then one
+ * column per engine spec the registry knows (run() skips unknown
+ * engines).
+ */
+std::vector<SweepColumn>
+sweepColumns(const std::vector<EngineSpec> &engines, bool timing,
+             bool scientific);
+
+/** The parallel sweep driver. */
 class ExperimentDriver
 {
   public:
@@ -150,11 +185,9 @@ class ExperimentDriver
     /**
      * Adopt a plan's configuration without running: trace knobs
      * (records/seed/warmup/timing), jobs, and the whole execution
-     * policy, refreshed store digests included. The baseline cache
-     * is dropped when the trace/warmup knobs change (cached
-     * baselines would describe the old configuration). Used by
-     * run(plan) and by harnesses that pair a plan with forEachTrace
-     * or runWorkload.
+     * policy, refreshed store digests included. Used by run(plan)
+     * and by harnesses that pair a plan with forEachTrace or
+     * runWorkload.
      */
     void applyPlan(const SweepPlan &plan);
 
@@ -164,21 +197,18 @@ class ExperimentDriver
     run(const std::vector<std::string> &workloads,
         const std::vector<EngineSpec> &engines);
 
-    /** Sweep every registered workload (figure order). */
-    std::vector<WorkloadResult>
-    runSuite(const std::vector<EngineSpec> &engines);
-
     /** Run one externally-owned workload (e.g. a custom subclass not
      *  in the registry); engine cells still run in parallel. The
-     *  baseline cache is bypassed: an external instance's behaviour
-     *  is not determined by its name, so name-keyed caching could
-     *  cross-contaminate differently-parameterized instances.
+     *  name-keyed store paths are bypassed: an external instance's
+     *  behaviour is not determined by its name, so name-keyed
+     *  caching could cross-contaminate differently-parameterized
+     *  instances.
      *
      *  When the caller *can* vouch for the trace's identity — a
      *  FixedTraceWorkload replaying a captured trace — pass its
      *  content digest (traceDigest()) and an attached store will
-     *  cache the baselines under it, exactly as for store-replayed
-     *  registry traces. */
+     *  cache every cell's result under it, exactly as for
+     *  store-replayed registry traces. */
     WorkloadResult
     runWorkload(const Workload &workload,
                 const std::vector<EngineSpec> &engines,
@@ -207,8 +237,8 @@ class ExperimentDriver
     static unsigned resolveJobs(unsigned jobs);
 
     /**
-     * Attach a persistent trace/baseline store. Registry-workload
-     * sweeps and forEachTrace then load traces and baselines from
+     * Attach a persistent trace/result store. Registry-workload
+     * sweeps and forEachTrace then load traces and cell results from
      * disk when present and persist what they compute. Pass null to
      * detach.
      */
@@ -220,11 +250,12 @@ class ExperimentDriver
         return store_;
     }
 
-    /** Baseline simulations actually executed (cache diagnostics). */
+    /** Reference-column (baseline and stride) simulations actually
+     *  executed, as opposed to served from the store. */
     std::uint64_t baselineRuns() const { return baselineRuns_; }
 
     /** Engine-cell simulations actually executed, as opposed to
-     *  served from the store's engine-result cache (store
+     *  served from the store's result cache (store
      *  diagnostics; a fully warm sweep re-run reports 0). Counts
      *  batched and unbatched executions alike — the split between
      *  the two is batchedRuns(). */
@@ -264,25 +295,12 @@ class ExperimentDriver
         return checkpointsWritten_.load();
     }
 
-    /** Drop the per-workload baseline cache. */
-    void clearBaselineCache();
-
   private:
-    struct Baseline
-    {
-        std::uint64_t misses = 0;
-        double cycles = 0.0; ///< no-prefetch cycles (timing runs)
-        double strideCycles = 0.0;
-        double strideIpc = 0.0;
-        bool haveStride = false;
-    };
-
     /** @param cacheable  workloads came from the registry, so the
-     *                     name-keyed baseline cache and trace-replay
-     *                     store paths apply.
+     *                     name-keyed trace-replay store paths apply.
      *  @param external_digest  caller-vouched trace content digest
      *                     for the non-cacheable single-workload path;
-     *                     keys the stored baselines. */
+     *                     keys the stored results. */
     std::vector<WorkloadResult>
     runCells(const std::vector<const Workload *> &workloads,
              const std::vector<EngineSpec> &engines, bool cacheable,
@@ -301,16 +319,12 @@ class ExperimentDriver
     ExperimentConfig config_;
     unsigned jobs_;
 
-    std::mutex cacheMutex_;
-    std::unordered_map<std::string, Baseline> baselineCache_;
     std::uint64_t baselineRuns_ = 0;
 
     std::shared_ptr<TraceStore> store_;
-    /// Digest of (system config, warmup) keying stored baselines.
-    std::uint64_t configDigest_ = 0;
-    /// Digest keying stored engine results: the baseline digest
-    /// inputs plus the timing mode and the result-format version
-    /// (functional and timed runs are distinct entries).
+    /// Digest keying stored cell results: system, warmup, timing
+    /// mode and result-format version (functional and timed runs
+    /// are distinct entries).
     std::uint64_t resultConfigDigest_ = 0;
     /// Digest keying stored checkpoints: system + timing + blob
     /// version. Warmup is deliberately excluded — it joins each

@@ -11,9 +11,11 @@
  *
  *  - engineSpecDigest      what engine ran (name + effective options
  *                          [+ probe id]); keys results/checkpoints.
- *  - baselineConfigDigest  what system + warmup produced a baseline.
- *  - resultConfigDigest    baselineConfigDigest inputs + timing mode
- *                          + result-format version; keys results.
+ *                          The no-prefetch baseline column's spec
+ *                          digest is storeDigest("cell:baseline:v1")
+ *                          (sweepColumns in sim/driver.hh).
+ *  - resultConfigDigest    system + warmup + timing mode + result
+ *                          format version; keys results.
  *  - checkpointConfigDigest system + timing + checkpoint blob
  *                          version; keys checkpoints. Warmup is
  *                          deliberately excluded — it joins the
@@ -53,14 +55,10 @@ std::uint64_t engineSpecDigest(const std::string &name,
                                const EngineOptions &options,
                                const std::string &probe_id = {});
 
-/** Key of the (system, warmup) context a stored baseline belongs
- *  to. Trace length and seed are part of the trace identity, not
- *  this digest. */
-std::uint64_t baselineConfigDigest(const ExperimentConfig &config);
-
-/** Key of the context a stored engine result belongs to: the
- *  baseline inputs plus the timing mode and the on-disk result
- *  format version. */
+/** Key of the context a stored cell result belongs to: system,
+ *  warmup, timing mode and the on-disk result format version. Trace
+ *  length and seed are part of the trace identity, not this
+ *  digest. */
 std::uint64_t resultConfigDigest(const ExperimentConfig &config);
 
 /** Key of the context a stored checkpoint belongs to: system +

@@ -186,8 +186,11 @@ encodeTraceV2(const Trace &trace)
     std::memcpy(file.data() + codec::kV2PayloadLenOffset,
                 &payload_len, sizeof(payload_len));
     std::memcpy(file.data() + codec::kV2CrcOffset, &crc, sizeof(crc));
-    std::memcpy(file.data() + codec::kV2HeaderBytes, payload.data(),
-                payload.size());
+    // An empty trace has an empty payload, whose data() may be null:
+    // memcpy's arguments must be valid pointers even for 0 bytes.
+    if (!payload.empty())
+        std::memcpy(file.data() + codec::kV2HeaderBytes,
+                    payload.data(), payload.size());
     return file;
 }
 

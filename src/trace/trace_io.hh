@@ -60,7 +60,7 @@ std::vector<std::uint8_t> encodeTraceV2(const Trace &trace);
  * Content digest of a trace: a 64-bit FNV-1a hash over every field
  * of every record in order. Two traces share a digest iff (modulo
  * hash collisions) they are record-for-record identical; the
- * TraceStore keys baseline results by it.
+ * TraceStore keys cell results by it.
  */
 std::uint64_t traceDigest(const Trace &trace);
 

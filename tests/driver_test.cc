@@ -183,28 +183,6 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Driver, BaselinesCachedAcrossCalls)
-{
-    ExperimentDriver driver(smallConfig(true), 4);
-    auto first =
-        driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    std::uint64_t baselines = driver.baselineRuns();
-    EXPECT_EQ(baselines, 2u); // no-prefetch + stride
-
-    auto second =
-        driver.run({"dss-qry17"}, engineSpecs({"sms", "stems"}));
-    EXPECT_EQ(driver.baselineRuns(), baselines);
-    EXPECT_EQ(first.at(0).baselineMisses,
-              second.at(0).baselineMisses);
-    EXPECT_EQ(first.at(0).strideCycles, second.at(0).strideCycles);
-    EXPECT_EQ(first.at(0).find("sms")->coverage,
-              second.at(0).find("sms")->coverage);
-
-    driver.clearBaselineCache();
-    driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(driver.baselineRuns(), baselines + 2);
-}
-
 TEST(Driver, FunctionalRunSkipsStrideBaseline)
 {
     // Without timing there is no speedup normalization, so only the
@@ -302,8 +280,8 @@ TEST(Driver, RunWorkloadAcceptsExternalWorkload)
     ASSERT_EQ(r.engines.size(), 2u);
     EXPECT_GT(r.find("sms")->coverage, 0.0);
 
-    // External instances bypass the name-keyed baseline cache: a
-    // second call recomputes rather than trusting the name.
+    // Nothing is cached without a store, and an external instance
+    // is never keyed by its name: a second call recomputes.
     std::uint64_t baselines = driver.baselineRuns();
     driver.runWorkload(w, engineSpecs({"sms"}));
     EXPECT_GT(driver.baselineRuns(), baselines);

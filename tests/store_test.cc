@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the persistent TraceStore and its driver integration:
- * content-addressed trace entries, baseline caching keyed by trace
- * digest, cross-process reuse (a fresh store instance over the same
+ * content-addressed trace entries, per-cell result caching keyed by
+ * trace digest (the baseline and stride columns included), cross-process reuse (a fresh store instance over the same
  * directory), eviction under a size budget, and the headline
  * guarantee — a warm-store re-run of a (workloads x engines) sweep
  * performs zero trace generations, zero baseline simulations and
@@ -21,6 +21,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/driver.hh"
 #include "sim/experiment.hh"
+#include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
 #include "trace/text_trace.hh"
@@ -137,29 +138,52 @@ TEST_F(TraceStoreTest, CorruptEntryIsDroppedNotServed)
 
 TEST_F(TraceStoreTest, BaselineRoundTripIsBitExact)
 {
+    // The reference columns are ordinary result entries: a timed
+    // sweep stores the baseline and stride columns' SimStats under
+    // their column spec digests, and they decode to exactly the
+    // normalization the sweep merged.
+    ExperimentConfig cfg = smallConfig(true);
+    ExperimentDriver driver(cfg, 2);
+    driver.setStore(std::make_shared<TraceStore>(dir_));
+    const auto results =
+        driver.run({"dss-qry17"}, engineSpecs({"sms"}));
+    ASSERT_EQ(results.size(), 1u);
+
     TraceStore store(dir_);
-    StoredBaseline b;
-    b.misses = 123456789;
-    b.cycles = 1.0 / 3.0;
-    b.strideCycles = 98765.4321e7;
-    b.strideIpc = 0.7071067811865476;
-    b.haveStride = true;
-    b.haveTiming = true;
-    ASSERT_TRUE(store.putBaseline(0xABCD, 0x1234, b));
+    auto trace =
+        store.findTrace({"dss-qry17", cfg.traceRecords, cfg.seed});
+    ASSERT_TRUE(trace.has_value());
+    const auto columns = sweepColumns(engineSpecs({"sms"}),
+                                      /*timing=*/true,
+                                      /*scientific=*/false);
+    ASSERT_EQ(columns.size(), 3u);
+    EXPECT_EQ(columns[0].resultSpecDigest,
+              storeDigest("cell:baseline:v1"));
+    EXPECT_EQ(columns[1].resultSpecDigest,
+              engineSpecDigest("stride", EngineOptions{}));
 
-    auto loaded = store.loadBaseline(0xABCD, 0x1234);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->misses, b.misses);
-    EXPECT_EQ(loaded->cycles, b.cycles);
-    EXPECT_EQ(loaded->strideCycles, b.strideCycles);
-    EXPECT_EQ(loaded->strideIpc, b.strideIpc);
-    EXPECT_TRUE(loaded->haveStride);
-    EXPECT_TRUE(loaded->haveTiming);
+    const std::uint64_t config = resultConfigDigest(cfg);
+    auto baseline = store.loadResult(
+        trace->digest, columns[0].resultSpecDigest, config);
+    auto stride = store.loadResult(
+        trace->digest, columns[1].resultSpecDigest, config);
+    ASSERT_TRUE(baseline.has_value());
+    ASSERT_TRUE(stride.has_value());
+    EXPECT_EQ(baseline->stats.offChipReads,
+              results[0].baselineMisses);
+    EXPECT_EQ(baseline->stats.cycles, results[0].baselineCycles);
+    EXPECT_EQ(stride->stats.cycles, results[0].strideCycles);
+    EXPECT_EQ(stride->stats.ipc(), results[0].baselineIpc);
+    EXPECT_GT(results[0].strideCycles, 0.0);
 
-    EXPECT_FALSE(store.loadBaseline(0xABCD, 0x9999).has_value());
-    EXPECT_FALSE(store.loadBaseline(0xDCBA, 0x1234).has_value());
-    EXPECT_EQ(store.baselineHits(), 1u);
-    EXPECT_EQ(store.baselineMisses(), 2u);
+    // Timing joins the result key: a functional sweep misses.
+    ExperimentConfig functional = cfg;
+    functional.enableTiming = false;
+    EXPECT_FALSE(store
+                     .loadResult(trace->digest,
+                                 columns[0].resultSpecDigest,
+                                 resultConfigDigest(functional))
+                     .has_value());
 }
 
 TEST_F(TraceStoreTest, EvictionRemovesOldestFirstUnderBudget)
@@ -211,24 +235,27 @@ TEST_F(TraceStoreTest, ListDescribesEntries)
 {
     TraceStore store(dir_);
     store.putTrace({"lister", 500, 9}, sampleTrace());
-    StoredBaseline b;
-    b.misses = 1;
-    store.putBaseline(1, 2, b);
+    StoredEngineResult r;
+    r.stats.offChipReads = 1;
+    store.putResult(1, 2, 3, r,
+                    {"lister", "baseline", 500, 9, 0, 0, 0, false});
     auto entries = store.list();
     ASSERT_EQ(entries.size(), 2u);
-    bool have_trace = false, have_baseline = false;
+    bool have_trace = false, have_result = false;
     for (const StoreEntry &e : entries) {
+        EXPECT_NE(e.description.find("lister"), std::string::npos);
+        EXPECT_GT(e.bytes, 0u);
         if (e.kind == StoreEntry::Kind::kTrace) {
             have_trace = true;
-            EXPECT_NE(e.description.find("lister"),
-                      std::string::npos);
-            EXPECT_GT(e.bytes, 0u);
         } else {
-            have_baseline = true;
+            EXPECT_EQ(e.kind, StoreEntry::Kind::kResult);
+            EXPECT_NE(e.description.find("x baseline"),
+                      std::string::npos);
+            have_result = true;
         }
     }
     EXPECT_TRUE(have_trace);
-    EXPECT_TRUE(have_baseline);
+    EXPECT_TRUE(have_result);
 }
 
 TEST_F(TraceStoreTest, UnusableDirectoryDegradesGracefully)
@@ -242,7 +269,7 @@ TEST_F(TraceStoreTest, UnusableDirectoryDegradesGracefully)
                      .has_value());
     Trace t;
     EXPECT_FALSE(store.loadTrace({"w", 1, 1}, t));
-    EXPECT_FALSE(store.loadBaseline(1, 2).has_value());
+    EXPECT_FALSE(store.loadResult(1, 2, 3).has_value());
     std::remove(file.c_str());
 }
 
@@ -262,9 +289,10 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
               kWorkloads.size() * kEngines.size());
 
     // Warm run: fresh driver AND fresh store instance over the same
-    // directory, as a separate process would see it. Every engine
-    // cell is served from the result cache, so nothing at all is
-    // simulated — not even the traces are decoded.
+    // directory, as a separate process would see it. Every cell —
+    // the baseline and stride columns included — is served from the
+    // result cache, so nothing at all is simulated — not even the
+    // traces are decoded.
     ExperimentDriver warm(cfg, 4);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     auto warm_results = warm.run(kWorkloads, engineSpecs(kEngines));
@@ -272,7 +300,7 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
     EXPECT_EQ(warm.baselineRuns(), 0u);
     EXPECT_EQ(warm.engineRuns(), 0u);
     EXPECT_EQ(warm.store()->resultHits(),
-              kWorkloads.size() * kEngines.size());
+              kWorkloads.size() * (kEngines.size() + 2));
     EXPECT_EQ(warm.store()->traceHits(), 0u);
 
     // Bitwise-identical merged results: warm vs cold...
@@ -289,27 +317,57 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
     expectSameResults(reference, warm_results);
 }
 
-TEST_F(TraceStoreTest, SecondSweepInSameDriverUsesMemoryCache)
+TEST_F(TraceStoreTest, DeletedBaselineEntryResimulatesOnlyTheBaseline)
 {
+    // Warm engine results with the baseline column's result entry
+    // deleted: only the baseline cell is re-simulated, and the merge
+    // is bitwise equal to a storeless sweep.
     ExperimentConfig cfg = smallConfig(false);
-    ExperimentDriver driver(cfg, 2);
-    driver.setStore(std::make_shared<TraceStore>(dir_));
-    driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    std::uint64_t baseline_loads = driver.store()->baselineHits() +
-                                   driver.store()->baselineMisses();
-    driver.run({"dss-qry17"}, engineSpecs({"sms", "stems"}));
-    // The in-memory baseline cache answers first; the store is not
-    // probed again for baselines.
-    EXPECT_EQ(driver.store()->baselineHits() +
-                  driver.store()->baselineMisses(),
-              baseline_loads);
-    EXPECT_EQ(driver.traceGenerations(), 1u);
+    {
+        ExperimentDriver cold(cfg, 2);
+        cold.setStore(std::make_shared<TraceStore>(dir_));
+        cold.run({"dss-qry17"}, engineSpecs(kEngines));
+        EXPECT_EQ(cold.baselineRuns(), 1u);
+        EXPECT_EQ(cold.engineRuns(), kEngines.size());
+    }
+    std::vector<std::filesystem::path> baseline_files;
+    for (const auto &de : std::filesystem::directory_iterator(
+             std::filesystem::path(dir_) / "results")) {
+        if (de.path().extension() != ".meta")
+            continue;
+        std::ifstream in(de.path());
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        if (text.find("\nengine=baseline\n") == std::string::npos)
+            continue;
+        std::filesystem::path res = de.path();
+        res.replace_extension(".res");
+        baseline_files.push_back(de.path());
+        baseline_files.push_back(res);
+    }
+    ASSERT_EQ(baseline_files.size(), 2u);
+    for (const auto &p : baseline_files)
+        ASSERT_TRUE(std::filesystem::remove(p));
+
+    ExperimentDriver warm(cfg, 2);
+    warm.setStore(std::make_shared<TraceStore>(dir_));
+    auto results = warm.run({"dss-qry17"}, engineSpecs(kEngines));
+    EXPECT_EQ(warm.baselineRuns(), 1u);
+    EXPECT_EQ(warm.engineRuns(), 0u);
+    EXPECT_EQ(warm.store()->resultHits(), kEngines.size());
+
+    ExperimentDriver reference(cfg, 2);
+    expectSameResults(
+        reference.run({"dss-qry17"}, engineSpecs(kEngines)), results);
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(dir_) / "baselines"));
 }
 
 TEST_F(TraceStoreTest, FunctionalEntryDoesNotServeTimingRun)
 {
     // A functional-only run persists baselines without cycle data; a
-    // later timing run must recompute rather than trust them.
+    // later timing run keys its results by timing mode and
+    // recomputes rather than trusting them.
     ExperimentDriver functional(smallConfig(false), 2);
     functional.setStore(std::make_shared<TraceStore>(dir_));
     functional.run({"dss-qry17"}, engineSpecs({"sms"}));
@@ -324,11 +382,17 @@ TEST_F(TraceStoreTest, FunctionalEntryDoesNotServeTimingRun)
     // data; the timing run keys results separately and re-simulates.
     EXPECT_EQ(timed.engineRuns(), 1u);
 
-    // The upgraded (timed) entry now serves both kinds of run.
+    // Each timing mode keeps its own entries: the timed ones serve a
+    // timed run, the functional ones a functional run.
     ExperimentDriver warm(smallConfig(true), 2);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     warm.run({"dss-qry17"}, engineSpecs({"sms"}));
     EXPECT_EQ(warm.baselineRuns(), 0u);
+    ExperimentDriver warm_functional(smallConfig(false), 2);
+    warm_functional.setStore(std::make_shared<TraceStore>(dir_));
+    warm_functional.run({"dss-qry17"}, engineSpecs({"sms"}));
+    EXPECT_EQ(warm_functional.baselineRuns(), 0u);
+    EXPECT_EQ(warm_functional.engineRuns(), 0u);
 }
 
 TEST_F(TraceStoreTest, DifferentSeedMissesTheStore)
@@ -562,9 +626,9 @@ TEST_F(TraceStoreTest, EvictionSharesBudgetAcrossAllEntryKinds)
     TraceStore store(dir_, opts);
     ASSERT_TRUE(
         store.putTrace({"evict", 500, 1}, sampleTrace(1)).has_value());
-    StoredBaseline b;
-    b.misses = 7;
-    ASSERT_TRUE(store.putBaseline(1, 2, b));
+    ASSERT_TRUE(store.putCheckpoint(1, 2, 3, 4,
+                                    std::vector<std::uint8_t>(64, 7),
+                                    {"wl", "eng", 3, 0}));
     StoredEngineResult r;
     r.stats.records = 1;
     ASSERT_TRUE(store.putResult(1, 2, 3, r,
@@ -599,9 +663,10 @@ TEST_F(TraceStoreTest, EvictionSharesBudgetAcrossAllEntryKinds)
     EXPECT_GT(removed, 0u);
     EXPECT_FALSE(store.loadResult(1, 2, 3).has_value());
     EXPECT_TRUE(store.listResults().empty());
-    // The newer trace and baseline survive.
+    // The newer trace and checkpoint survive.
     EXPECT_TRUE(store.findTrace({"evict", 500, 1}).has_value());
-    EXPECT_TRUE(store.loadBaseline(1, 2).has_value());
+    EXPECT_EQ(store.listCheckpointIndices(1, 2),
+              std::vector<std::uint64_t>{3});
 
     // Full gc removes everything, results included.
     store.evictWithin(0);
@@ -630,7 +695,7 @@ TEST_F(TraceStoreTest, ExternalTraceHitsResultCacheByDigest)
         second.runWorkload(w, engineSpecs({"sms", "stems"}), digest);
     EXPECT_EQ(second.engineRuns(), 0u);
     EXPECT_EQ(second.baselineRuns(), 0u);
-    EXPECT_EQ(second.store()->resultHits(), 2u);
+    EXPECT_EQ(second.store()->resultHits(), 3u); // baseline + 2 engines
     expectSameResults({a}, {b});
 
     // Without a digest nothing is cached or served.

@@ -17,9 +17,9 @@
  *       coverage and accuracy. By default all cells advance together
  *       in one batched trace pass; --no-batch runs one pass per cell
  *       (bitwise-identical results). With a store (--store or
- *       $STEMS_STORE), baselines and per-engine results are cached
- *       under the trace's content digest, so re-runs skip both the
- *       baseline and the engine simulations.
+ *       $STEMS_STORE), every cell's result (the baseline included)
+ *       is cached under the trace's content digest, so re-runs skip
+ *       the baseline and the engine simulations.
  *   stems_trace import <in.txt> <out.trc> [--store DIR] [--name N]
  *       Convert an external text/CSV access trace (ChampSim-style
  *       pc,addr,is_write lines; see trace/text_trace.hh) to the
@@ -381,7 +381,7 @@ cmdRun(int argc, char **argv)
         auto store = std::make_shared<TraceStore>(args.storeDir);
         if (store->usable()) {
             // Content-digest keying gives imported/external traces
-            // cross-process baseline caching too.
+            // cross-process result caching too.
             driver.setStore(std::move(store));
         } else {
             std::fprintf(stderr,
@@ -499,7 +499,7 @@ cmdImport(int argc, char **argv)
                 in.c_str(), out.c_str());
 
     // Optional: ingest into the persistent store so driver sweeps
-    // can replay it and cache baselines against its digest.
+    // can replay it and cache results against its digest.
     if (!args.storeDir.empty()) {
         auto store = openStore(args.storeDir);
         if (!store)
@@ -556,9 +556,7 @@ cmdCache(int argc, char **argv)
         std::uint64_t total = 0;
         for (const StoreEntry &e : entries) {
             const char *kind = "trace";
-            if (e.kind == StoreEntry::Kind::kBaseline)
-                kind = "baseline";
-            else if (e.kind == StoreEntry::Kind::kResult)
+            if (e.kind == StoreEntry::Kind::kResult)
                 kind = "result";
             else if (e.kind == StoreEntry::Kind::kCheckpoint)
                 kind = "checkpoint";
