@@ -123,7 +123,7 @@ struct SweepColumn
     /// class applied.
     EngineOptions options;
     /// Index into the sweep's engine list; -1 for the reference
-    /// columns (the wire meaning of WorkUnit::column).
+    /// columns.
     std::int32_t engineIndex = -1;
     /// Checkpoint key: the simulation without labels or probes (a
     /// probe reads state post-run; it cannot change what a

@@ -3,19 +3,10 @@
 #include <cstdio>
 
 #include "common/mini_json.hh"
-#include "common/state_codec.hh"
 
 namespace stems {
 
 namespace {
-
-constexpr std::uint32_t kPlanTag = stateTag('S', 'W', 'P', 'L');
-constexpr std::uint32_t kPlanEndTag = stateTag('S', 'W', 'P', 'E');
-// v2 added unit_granularity; v3 dropped a retired policy flag; v4
-// dropped the segment count. Older streams are rejected (the service
-// already rejects cross-version peers at the Hello stage, so a
-// version skew here means something worse than an old binary).
-constexpr std::uint32_t kPlanVersion = 4;
 
 std::string
 u64Token(std::uint64_t v)
@@ -172,74 +163,7 @@ parseEngine(const JsonValue &v, PlanEngine &engine,
     return true;
 }
 
-// ---- binary string helpers ----------------------------------------
-
-void
-writeString(StateWriter &w, const std::string &s)
-{
-    w.u64(s.size());
-    for (char c : s)
-        w.u8(static_cast<std::uint8_t>(c));
-}
-
-std::string
-readString(StateReader &r)
-{
-    // Strings here are short names/labels; cap the announced length
-    // so a corrupt stream cannot force a huge allocation.
-    constexpr std::uint64_t kMaxLen = 1 << 16;
-    std::uint64_t len = r.u64();
-    if (len > kMaxLen) {
-        r.fail();
-        return {};
-    }
-    std::string s;
-    s.reserve(static_cast<std::size_t>(len));
-    for (std::uint64_t i = 0; i < len && r.ok(); ++i)
-        s += static_cast<char>(r.u8());
-    return s;
-}
-
-template <typename T>
-void
-writeOptU64(StateWriter &w, const std::optional<T> &v)
-{
-    w.boolean(v.has_value());
-    w.u64(v ? static_cast<std::uint64_t>(*v) : 0);
-}
-
-void
-writeOptBool(StateWriter &w, const std::optional<bool> &v)
-{
-    w.boolean(v.has_value());
-    w.boolean(v.value_or(false));
-}
-
 } // namespace
-
-const char *
-unitGranularityName(UnitGranularity granularity)
-{
-    switch (granularity) {
-    case UnitGranularity::kCell:
-        return "cell";
-    case UnitGranularity::kWorkload:
-    default:
-        return "workload";
-    }
-}
-
-bool
-parseUnitGranularity(const std::string &text, UnitGranularity &out)
-{
-    if (text == "workload")
-        out = UnitGranularity::kWorkload;
-    else if (text == "cell")
-        out = UnitGranularity::kCell;
-    else
-        return false;
-    return true;
-}
 
 std::string
 sweepPlanJson(const SweepPlan &plan)
@@ -285,9 +209,6 @@ sweepPlanJson(const SweepPlan &plan)
     out += ",\n  \"seed\": " + u64Token(plan.seed);
     out += ",\n  \"timing\": ";
     out += boolToken(plan.timing);
-    out += ",\n  \"unit_granularity\": \"";
-    out += unitGranularityName(plan.unitGranularity);
-    out += "\"";
     out += ",\n  \"warmup_fraction\": " +
            jsonDouble(plan.warmupFraction);
     out += ",\n  \"warmup_records\": " + u64Token(plan.warmupRecords);
@@ -368,11 +289,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
         } else if (key == "timing") {
             if (!asBool(val, out.timing))
                 return parseFail(error, "bad timing");
-        } else if (key == "unit_granularity") {
-            if (val.kind != JsonValue::Kind::kString ||
-                !parseUnitGranularity(val.text,
-                                      out.unitGranularity))
-                return parseFail(error, "bad unit_granularity");
         } else if (key == "warmup_fraction") {
             if (!asDouble(val, out.warmupFraction))
                 return parseFail(error, "bad warmup_fraction");
@@ -393,115 +309,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                              "unknown plan field '" + key + "'");
         }
     }
-    plan = std::move(out);
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeSweepPlan(const SweepPlan &plan)
-{
-    StateWriter w;
-    w.tag(kPlanTag);
-    w.u32(kPlanVersion);
-    w.u64(plan.workloads.size());
-    for (const std::string &name : plan.workloads)
-        writeString(w, name);
-    w.u64(plan.engines.size());
-    for (const PlanEngine &e : plan.engines) {
-        writeString(w, e.engine);
-        writeString(w, e.label);
-        w.boolean(e.options.scientific);
-        writeOptU64(w, e.options.lookahead);
-        writeOptU64(w, e.options.bufferEntries);
-        writeOptU64(w, e.options.streamQueues);
-        writeOptBool(w, e.options.smsUseCounters);
-        writeOptU64(w, e.options.displacementWindow);
-    }
-    w.u64(plan.records);
-    w.u64(plan.seed);
-    w.f64(plan.warmupFraction);
-    w.u64(plan.warmupRecords);
-    w.boolean(plan.timing);
-    w.u32(plan.jobs);
-    w.boolean(plan.batch);
-    w.u64(plan.checkpointEvery);
-    w.f64(plan.heartbeatSeconds);
-    w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
-    w.tag(kPlanEndTag);
-    return w.take();
-}
-
-bool
-decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
-                SweepPlan &plan, std::string *error)
-{
-    auto malformed = [error] {
-        return parseFail(error, "malformed binary plan");
-    };
-    StateReader r(bytes.data(), bytes.size());
-    r.tag(kPlanTag);
-    if (r.u32() != kPlanVersion)
-        return parseFail(error, "unsupported binary plan version");
-    SweepPlan out;
-    // Corrupt counts fail via the per-element bounds checks (every
-    // element is at least one byte, so a huge count cannot pass),
-    // but bail out early on an obviously impossible one.
-    std::uint64_t n = r.u64();
-    if (n > bytes.size())
-        return malformed();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        out.workloads.push_back(readString(r));
-    n = r.u64();
-    if (n > bytes.size())
-        return malformed();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        PlanEngine e;
-        e.engine = readString(r);
-        e.label = readString(r);
-        e.options.scientific = r.boolean();
-        if (r.boolean())
-            e.options.lookahead = static_cast<unsigned>(r.u64());
-        else
-            r.u64();
-        if (r.boolean())
-            e.options.bufferEntries =
-                static_cast<std::size_t>(r.u64());
-        else
-            r.u64();
-        if (r.boolean())
-            e.options.streamQueues =
-                static_cast<std::size_t>(r.u64());
-        else
-            r.u64();
-        if (r.boolean())
-            e.options.smsUseCounters = r.boolean();
-        else
-            r.boolean();
-        if (r.boolean())
-            e.options.displacementWindow =
-                static_cast<unsigned>(r.u64());
-        else
-            r.u64();
-        if (r.ok() && !validEngineOptions(e.options, error))
-            return false;
-        out.engines.push_back(std::move(e));
-    }
-    out.records = r.u64();
-    out.seed = r.u64();
-    out.warmupFraction = r.f64();
-    out.warmupRecords = r.u64();
-    out.timing = r.boolean();
-    out.jobs = r.u32();
-    out.batch = r.boolean();
-    out.checkpointEvery = r.u64();
-    out.heartbeatSeconds = r.f64();
-    const std::uint8_t granularity = r.u8();
-    if (granularity > static_cast<std::uint8_t>(UnitGranularity::kCell))
-        return malformed();
-    out.unitGranularity = static_cast<UnitGranularity>(granularity);
-    r.tag(kPlanEndTag);
-    if (!r.atEnd())
-        return malformed();
     plan = std::move(out);
     return true;
 }

@@ -7,26 +7,20 @@
  * workloads x engine columns, records/seed/warmup, and the execution
  * policy — as plain data; ExperimentDriver::applyPlan is the only
  * writer of the driver's execution policy. Unlike a mutated driver,
- * a plan can be
- * serialized, diffed, digested and handed to a remote worker: the
- * distributed sweep service (net/coord.hh, net/worker.hh) ships the
- * binary form over the wire, and `--plan-out` dumps the canonical
- * JSON form for any bench invocation.
+ * a plan can be serialized, diffed and digested: `--plan-out` dumps
+ * it for any bench invocation and `stems_trace sweep --plan FILE`
+ * runs it.
  *
- * Two codecs, both canonical:
- *  - JSON (sweepPlanJson / parseSweepPlanJson): key-sorted,
- *    mini_json conventions (`%.17g` doubles, exact u64 integers),
- *    schema-tagged "stems-sweep-plan-v3". Every field is always
- *    emitted (unset optional engine knobs as `null`), so two plans
- *    are equal iff their JSON bytes are equal, and the parser
- *    rejects unknown fields instead of guessing.
- *  - binary (encodeSweepPlan / decodeSweepPlan): a state_codec
- *    field stream framed by 'SWPL'/'SWPE' tags, used as wire
- *    payload. Reject-never-misdecode like every other codec here.
+ * The one codec is canonical JSON (sweepPlanJson /
+ * parseSweepPlanJson): key-sorted, mini_json conventions (`%.17g`
+ * doubles, exact u64 integers), schema-tagged
+ * "stems-sweep-plan-v4". Every field is always emitted (unset
+ * optional engine knobs as `null`), so two plans are equal iff their
+ * JSON bytes are equal, and the parser rejects unknown fields
+ * instead of guessing.
  *
  * The plan's identity in the store's key vocabulary is
- * sweepPlanDigest() (store/keys.hh): a digest of the canonical JSON,
- * which coordinator and worker compare before executing anything.
+ * sweepPlanDigest() (store/keys.hh): a digest of the canonical JSON.
  *
  * Deliberately NOT in the plan: the SystemConfig (every harness runs
  * the paper's Table 1 system; describeSystem() already keys stored
@@ -47,7 +41,7 @@
 namespace stems {
 
 /// Canonical JSON schema tag (also the digest domain prefix).
-inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v3";
+inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v4";
 
 /**
  * One engine column of a plan: a registered engine name, the label
@@ -60,26 +54,6 @@ struct PlanEngine
     std::string label;
     EngineOptions options;
 };
-
-/**
- * Work-unit granularity for the distributed sweep service: how the
- * coordinator (net/coord.hh) decomposes this plan into units. Pure
- * scheduling policy — results are bitwise identical for any
- * setting — but part of the plan (and thus the digest) so every
- * worker agrees on the unit numbering the wire messages reference.
- */
-enum class UnitGranularity : std::uint8_t
-{
-    kWorkload = 0, ///< one unit = one workload row (the default)
-    kCell = 1,     ///< one unit = one (workload, engine column) cell
-};
-
-/** Canonical lower-case name ("workload" | "cell"). */
-const char *unitGranularityName(UnitGranularity granularity);
-
-/** Parse a canonical granularity name; false on anything else. */
-bool parseUnitGranularity(const std::string &text,
-                          UnitGranularity &out);
 
 /** A complete, serializable sweep description. */
 struct SweepPlan
@@ -121,8 +95,6 @@ struct SweepPlan
     /// thread logs cells done/total and the record-step rate to
     /// stderr while a sweep's dispatch is in flight.
     double heartbeatSeconds = 0.0;
-    /// Distributed work-unit decomposition (net/units.hh).
-    UnitGranularity unitGranularity = UnitGranularity::kWorkload;
 };
 
 /**
@@ -145,20 +117,11 @@ std::string sweepPlanJson(const SweepPlan &plan);
 bool parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                         std::string *error = nullptr);
 
-/** Binary wire form ('SWPL' state_codec stream). */
-std::vector<std::uint8_t> encodeSweepPlan(const SweepPlan &plan);
-
-/** Decode the binary wire form; false on any structural mismatch
- *  or out-of-range engine option (validEngineOptions), with a
- *  one-line reason in *error when given. */
-bool decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
-                     SweepPlan &plan, std::string *error = nullptr);
-
 /**
  * True when every set engine option is one the engines can run:
  * stream_queues in 1..kMaxStreamQueues, buffer_entries at least 1.
- * Both plan codecs apply it, since a plan may come from a file or
- * off the wire. On failure *error names the field and its range.
+ * The JSON parser applies it, since a plan may come from a file.
+ * On failure *error names the field and its range.
  */
 bool validEngineOptions(const EngineOptions &options,
                         std::string *error = nullptr);

@@ -2,12 +2,10 @@
  * @file
  * The store's key vocabulary, in one place.
  *
- * Every artifact the content-addressed TraceStore holds — and every
- * identity the distributed sweep protocol (net/) puts on the wire —
- * is named by a 64-bit FNV-1a digest (storeDigest) of a stable
- * descriptive string. This header collects the digest family so the
- * definitions cannot drift between the driver, the tools and the
- * wire protocol:
+ * Every artifact the content-addressed TraceStore holds, and every
+ * sweep plan, is named by a 64-bit FNV-1a digest (storeDigest) of a
+ * stable descriptive string. This header collects the digest family
+ * so the definitions cannot drift between the driver and the tools:
  *
  *  - engineSpecDigest      what engine ran (name + effective options
  *                          [+ probe id]); keys results/checkpoints.
@@ -26,8 +24,8 @@
  *                          ("pending" while it lies at or beyond
  *                          the index).
  *  - sweepPlanDigest       a whole sweep's identity: digest of the
- *                          canonical SweepPlan JSON. Coordinator and
- *                          worker compare it before executing.
+ *                          canonical SweepPlan JSON, printed in the
+ *                          `stems_trace sweep` banner.
  *
  * The remaining family members live with their data: trace content
  * digests and trace-prefix digests (trace/trace_io.hh traceDigest /

@@ -693,38 +693,6 @@ TraceStore::dropCheckpoint(std::uint64_t spec_digest,
                ec);
 }
 
-std::vector<std::uint64_t>
-TraceStore::listCheckpointIndices(std::uint64_t spec_digest,
-                                  std::uint64_t config_digest)
-{
-    std::vector<std::uint64_t> indices;
-    if (!usable_)
-        return indices;
-    std::string prefix =
-        hex16(spec_digest) + "-" + hex16(config_digest) + "-";
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(
-             fs::path(dir_) / kCheckpointSubdir, ec)) {
-        if (de.path().extension() != ".ckpt")
-            continue;
-        std::string stem = de.path().stem().string();
-        if (stem.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        if (stem.size() < prefix.size() + 16)
-            continue;
-        char *end = nullptr;
-        std::uint64_t index = std::strtoull(
-            stem.c_str() + prefix.size(), &end, 16);
-        if (end != stem.c_str() + prefix.size() + 16)
-            continue;
-        indices.push_back(index);
-    }
-    std::sort(indices.begin(), indices.end());
-    indices.erase(std::unique(indices.begin(), indices.end()),
-                  indices.end());
-    return indices;
-}
-
 std::vector<StoredCheckpointKey>
 TraceStore::listCheckpoints(std::uint64_t spec_digest,
                             std::uint64_t config_digest)
@@ -773,6 +741,20 @@ TraceStore::listCheckpoints(std::uint64_t spec_digest,
                            }),
                keys.end());
     return keys;
+}
+
+std::vector<std::uint64_t>
+TraceStore::listCheckpointIndices(std::uint64_t spec_digest,
+                                  std::uint64_t config_digest)
+{
+    std::vector<std::uint64_t> indices;
+    // listCheckpoints is sorted by index first, so duplicates (one
+    // index under several state digests) are adjacent.
+    for (const StoredCheckpointKey &key :
+         listCheckpoints(spec_digest, config_digest))
+        if (indices.empty() || indices.back() != key.index)
+            indices.push_back(key.index);
+    return indices;
 }
 
 std::uint64_t

@@ -273,10 +273,11 @@ class TraceStore
 
     /**
      * Record indices with stored checkpoints for a (spec, config)
-     * pair, ascending and de-duplicated across state digests. The
-     * caller filters by recomputing each candidate's state digest
-     * against its own trace (a foreign workload's entry simply
-     * misses on load).
+     * pair, ascending and de-duplicated across state digests: the
+     * index projection of listCheckpoints, so both share one
+     * filename parse. The caller filters by recomputing each
+     * candidate's state digest against its own trace (a foreign
+     * workload's entry simply misses on load).
      */
     std::vector<std::uint64_t>
     listCheckpointIndices(std::uint64_t spec_digest,
@@ -288,9 +289,8 @@ class TraceStore
      * listCheckpointIndices this exposes the state digests, so a
      * caller can tell an on-key checkpoint from off-key ones (stale
      * or foreign-run states) at the same index without loading any
-     * blob — the distributed coordinator's trusted-boundary probe
-     * (net/units.cc). Malformed filenames are skipped; blob
-     * integrity is still only checked by loadCheckpoint.
+     * blob. Malformed filenames are skipped; blob integrity is
+     * still only checked by loadCheckpoint.
      */
     std::vector<StoredCheckpointKey>
     listCheckpoints(std::uint64_t spec_digest,

@@ -927,12 +927,13 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
 
 TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
 {
-    // listCheckpoints() feeds the distributed trusted-boundary
-    // probe: it must enumerate every well-formed key of the
+    // listCheckpoints() must enumerate every well-formed key of the
     // requested identity — including multiple state digests per
     // index and entries whose blob is corrupt (integrity is
     // loadCheckpoint's job) — while skipping foreign identities and
-    // malformed filenames.
+    // malformed filenames. listCheckpointIndices() is its
+    // de-duplicated index projection, so the same junk is skipped
+    // there too.
     TraceStore store(dir_);
     const std::uint64_t spec = 0xFEED, cfg = 0xBEEF;
     ASSERT_TRUE(store.putCheckpoint(spec, cfg, 100, 1,
@@ -991,6 +992,8 @@ TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
     EXPECT_EQ(keys[1].stateDigest, 1u);
     EXPECT_EQ(keys[2].index, 100u);
     EXPECT_EQ(keys[2].stateDigest, 2u);
+    EXPECT_EQ(store.listCheckpointIndices(spec, cfg),
+              (std::vector<std::uint64_t>{50, 100}));
 
     // The corrupt entry is listed but not served.
     EXPECT_FALSE(store.loadCheckpoint(spec, cfg, 50, 9).has_value());

@@ -1,17 +1,16 @@
 /**
  * @file
  * SweepPlan contract tests: the canonical JSON form round-trips
- * byte-identically (the property the wire digest check and the
- * plan-file workflow rest on), the binary form round-trips without
- * mis-decoding, unknown fields and schema drift are rejected (plans
- * written in an older format included), the plan digest is pinned,
+ * byte-identically (the property the plan digest and the plan-file
+ * workflow rest on), unknown fields and schema drift are rejected
+ * (plans written in an older format included), the plan digest is
+ * pinned,
  * and ExperimentDriver::run(plan) reproduces applyPlan(plan) plus the
  * workload/engine-list run bitwise.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/state_codec.hh"
 #include "sim/driver.hh"
 #include "sim/sweep_plan.hh"
 #include "store/keys.hh"
@@ -44,7 +43,6 @@ fullPlan()
     plan.batch = false;
     plan.checkpointEvery = 5'000;
     plan.heartbeatSeconds = 1.5;
-    plan.unitGranularity = UnitGranularity::kCell;
     return plan;
 }
 
@@ -71,17 +69,16 @@ TEST(SweepPlanJson, DefaultPlanRoundTripsByteIdentically)
 TEST(SweepPlanJson, DigestIsPinned)
 {
     // Pinned across releases: a digest change means the canonical
-    // JSON changed, which invalidates every wire/plan-file digest
-    // comparison in flight. Bump deliberately or not at all. Last
-    // bumped for stems-sweep-plan-v3, which dropped the segment
-    // count.
+    // JSON changed, which changes the `sweep plan` banner of every
+    // plan. Bump deliberately or not at all. Last bumped for
+    // stems-sweep-plan-v4, which dropped the unit granularity.
     SweepPlan plan;
     plan.workloads = {"oltp-db2"};
     plan.engines = {PlanEngine{"stems", "", {}}};
     plan.records = 100'000;
     const std::uint64_t digest = sweepPlanDigest(plan);
     EXPECT_EQ(digest, sweepPlanDigest(plan)) << "digest unstable";
-    EXPECT_EQ(digest, UINT64_C(0xc84db3b7f2b2ee40));
+    EXPECT_EQ(digest, UINT64_C(0x166380ef990ed433));
 }
 
 TEST(SweepPlanJson, RejectsUnknownFields)
@@ -262,6 +259,51 @@ const char *const kV2PlanJson = R"({
 }
 )";
 
+/** A plan exactly as the v3 JSON codec wrote it, with cell units. */
+const char *const kV3PlanJson = R"({
+  "batch": true,
+  "checkpoint_every": 30000,
+  "engines": [
+    {
+      "engine": "tms",
+      "label": "",
+      "options": {
+        "buffer_entries": null,
+        "displacement_window": null,
+        "lookahead": null,
+        "scientific": false,
+        "sms_use_counters": null,
+        "stream_queues": null
+      }
+    },
+    {
+      "engine": "stems",
+      "label": "",
+      "options": {
+        "buffer_entries": null,
+        "displacement_window": null,
+        "lookahead": null,
+        "scientific": false,
+        "sms_use_counters": null,
+        "stream_queues": null
+      }
+    }
+  ],
+  "heartbeat_seconds": 0,
+  "jobs": 1,
+  "records": 100000,
+  "schema": "stems-sweep-plan-v3",
+  "seed": 42,
+  "timing": false,
+  "unit_granularity": "cell",
+  "warmup_fraction": 0.5,
+  "warmup_records": 0,
+  "workloads": [
+    "oltp-db2"
+  ]
+}
+)";
+
 TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
 {
     SweepPlan out;
@@ -294,10 +336,15 @@ TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
     EXPECT_FALSE(parseSweepPlanJson(retagged, out, &error));
     EXPECT_NE(error.find(kRetiredFlag), std::string::npos) << error;
 
-    // Without the retired flag the same document parses: the
-    // rejections above are about the format change, nothing else.
+    // Without the retired flag and the unit granularity v4 dropped
+    // (the v3 case below), the same document parses: the rejections
+    // above are about the format change, nothing else.
     const std::string flag_line = "  \"" + kRetiredFlag + "\": false,\n";
     retagged.erase(retagged.find(flag_line), flag_line.size());
+    const std::string workload_units_line =
+        "  \"unit_granularity\": \"workload\",\n";
+    retagged.erase(retagged.find(workload_units_line),
+                   workload_units_line.size());
     error.clear();
     EXPECT_TRUE(parseSweepPlanJson(retagged, out, &error)) << error;
     EXPECT_EQ(out.records, 1000u);
@@ -310,8 +357,8 @@ TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
     EXPECT_NE(error.find(kSweepPlanSchema), std::string::npos)
         << error;
 
-    // Re-tagged as the current schema, the segment count is an
-    // unknown field and the segment granularity an unknown name.
+    // Re-tagged as the current schema, the segment count and the
+    // unit granularity are unknown fields.
     retagged = v2;
     retagged.replace(retagged.find("stems-sweep-plan-v2"),
                      std::string(kSweepPlanSchema).size(),
@@ -325,155 +372,41 @@ TEST(SweepPlanJson, RejectsV1PlansNamingTheSchema)
     EXPECT_NE(error.find("unit_granularity"), std::string::npos)
         << error;
 
-    // With cell units instead, the same document parses.
-    const std::string segment = "\"segment\"";
-    retagged.replace(retagged.find(segment), segment.size(),
-                     "\"cell\"");
+    const std::string segment_units_line =
+        "  \"unit_granularity\": \"segment\",\n";
+    retagged.erase(retagged.find(segment_units_line),
+                   segment_units_line.size());
     error.clear();
     EXPECT_TRUE(parseSweepPlanJson(retagged, out, &error)) << error;
     EXPECT_EQ(out.checkpointEvery, 500u);
-    EXPECT_EQ(out.unitGranularity, UnitGranularity::kCell);
-}
 
-TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
-{
-    SweepPlan plan;
-    for (UnitGranularity g :
-         {UnitGranularity::kWorkload, UnitGranularity::kCell}) {
-        plan.unitGranularity = g;
-        SweepPlan reparsed;
-        std::string error;
-        ASSERT_TRUE(parseSweepPlanJson(sweepPlanJson(plan),
-                                       reparsed, &error))
-            << error;
-        EXPECT_EQ(reparsed.unitGranularity, g);
+    // The v3 codec's plans fail on their schema too.
+    const std::string v3 = kV3PlanJson;
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(v3, out, &error));
+    EXPECT_NE(error.find("schema"), std::string::npos) << error;
+    EXPECT_NE(error.find(kSweepPlanSchema), std::string::npos)
+        << error;
 
-        UnitGranularity parsed;
-        ASSERT_TRUE(
-            parseUnitGranularity(unitGranularityName(g), parsed));
-        EXPECT_EQ(parsed, g);
-    }
-
-    const std::string name = "\"cell\"";
-    for (const char *unknown : {"\"per-epoch\"", "\"segment\""}) {
-        std::string doctored = sweepPlanJson(plan);
-        doctored.replace(doctored.find(name), name.size(), unknown);
-        SweepPlan out;
-        EXPECT_FALSE(parseSweepPlanJson(doctored, out)) << unknown;
-    }
-
-    UnitGranularity parsed;
-    EXPECT_FALSE(parseUnitGranularity("per-epoch", parsed));
-    EXPECT_FALSE(parseUnitGranularity("segment", parsed));
-}
-
-TEST(SweepPlanBinary, RoundTripsExactly)
-{
-    const SweepPlan plan = fullPlan();
-    const std::vector<std::uint8_t> bytes = encodeSweepPlan(plan);
-    SweepPlan decoded;
-    ASSERT_TRUE(decodeSweepPlan(bytes, decoded));
-    // The canonical JSON covers every field, so byte-equal JSON is
-    // field-equal plans.
-    EXPECT_EQ(sweepPlanJson(plan), sweepPlanJson(decoded));
-}
-
-TEST(SweepPlanBinary, RejectsTruncationAnywhere)
-{
-    const std::vector<std::uint8_t> bytes =
-        encodeSweepPlan(fullPlan());
-    SweepPlan decoded;
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        std::vector<std::uint8_t> truncated(bytes.begin(),
-                                            bytes.begin() + cut);
-        EXPECT_FALSE(decodeSweepPlan(truncated, decoded))
-            << "accepted truncation at " << cut;
-    }
-    // Trailing garbage is rejected too (atEnd contract).
-    std::vector<std::uint8_t> extended = bytes;
-    extended.push_back(0);
-    EXPECT_FALSE(decodeSweepPlan(extended, decoded));
-}
-
-TEST(SweepPlanBinary, RejectsEngineOptionsEnginesCannotRun)
-{
-    for (const OptionCase &c : kOptionCases) {
-        SCOPED_TRACE(std::string(c.field) + " = " +
-                     std::to_string(c.value));
-        SweepPlan out;
-        std::string error;
-        EXPECT_EQ(decodeSweepPlan(encodeSweepPlan(planWithOption(c)),
-                                  out, &error),
-                  c.valid)
-            << error;
-        if (!c.valid) {
-            EXPECT_NE(error.find(c.field), std::string::npos) << error;
-            EXPECT_NE(error.find(c.range), std::string::npos) << error;
-        }
-    }
-}
-
-/**
- * A binary plan for an empty plan with default knobs, stamped with
- * `version` but laid out the way codec version `layout` wrote it:
- * up to v3 a u32 segment count sat between batch and
- * checkpointEvery; up to v2 a retired policy byte followed
- * checkpointEvery; v1 also lacked the trailing granularity byte.
- */
-std::vector<std::uint8_t>
-legacyPlanBytes(std::uint32_t version, std::uint32_t layout)
-{
-    const SweepPlan plan;
-    StateWriter w;
-    w.tag(stateTag('S', 'W', 'P', 'L'));
-    w.u32(version);
-    w.u64(0); // workloads
-    w.u64(0); // engines
-    w.u64(plan.records);
-    w.u64(plan.seed);
-    w.f64(plan.warmupFraction);
-    w.u64(plan.warmupRecords);
-    w.boolean(plan.timing);
-    w.u32(plan.jobs);
-    w.boolean(plan.batch);
-    if (layout <= 3)
-        w.u32(1); // segment count: off
-    w.u64(plan.checkpointEvery);
-    if (layout <= 2)
-        w.boolean(true);
-    w.f64(plan.heartbeatSeconds);
-    if (layout >= 2)
-        w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
-    w.tag(stateTag('S', 'W', 'P', 'E'));
-    return w.take();
-}
-
-TEST(SweepPlanBinary, RejectsOlderVersions)
-{
-    // The hand-built layout is the real one: exactly one version
-    // stamped over its own layout matches the encoder.
-    const std::vector<std::uint8_t> current = encodeSweepPlan(SweepPlan{});
-    SweepPlan decoded;
-    std::uint32_t version = 1;
-    for (; version < 16; ++version)
-        if (legacyPlanBytes(version, version) == current)
-            break;
-    ASSERT_LT(version, 16u) << "no version reproduces the encoder";
-    EXPECT_EQ(version, 4u);
-    ASSERT_TRUE(decodeSweepPlan(current, decoded));
-
-    for (std::uint32_t old = 1; old < version; ++old) {
-        SCOPED_TRACE("version " + std::to_string(old));
-        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(old, old),
-                                     decoded));
-        // Not even a stream that only carries an old version number
-        // over the current layout.
-        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(old, version),
-                                     decoded));
-        // Nor an old layout under the current version number.
-        EXPECT_FALSE(decodeSweepPlan(legacyPlanBytes(version, old),
-                                     decoded));
-    }
+    // Re-tagged as the current schema, the unit granularity is an
+    // unknown field; without it the same document parses.
+    retagged = v3;
+    retagged.replace(retagged.find("stems-sweep-plan-v3"),
+                     std::string(kSweepPlanSchema).size(),
+                     kSweepPlanSchema);
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(retagged, out, &error));
+    EXPECT_NE(error.find("unknown plan field 'unit_granularity'"),
+              std::string::npos)
+        << error;
+    const std::string cell_units_line =
+        "  \"unit_granularity\": \"cell\",\n";
+    retagged.erase(retagged.find(cell_units_line),
+                   cell_units_line.size());
+    error.clear();
+    EXPECT_TRUE(parseSweepPlanJson(retagged, out, &error)) << error;
+    EXPECT_EQ(out.checkpointEvery, 30000u);
+    EXPECT_EQ(out.engines.size(), 2u);
 }
 
 TEST(SweepPlanDriver, RunPlanMatchesLegacySetterPath)

@@ -33,39 +33,11 @@
  *   stems_trace list
  *       List the built-in workloads.
  *   stems_trace sweep [bench flags] [--plan FILE] [--timing]
- *       Run a declarative SweepPlan single-process: either built
- *       from the shared bench flags (--workloads/--engines/
- *       --records/--seed/--jobs/...) or loaded from a plan JSON
- *       file (--plan; trace/policy flags are then ignored). With a
- *       store the sweep replays anything already cached.
- *   stems_trace serve [bench flags] [--plan FILE] [--timing]
- *               [--port P] [--serve-timeout S] [--resume-grace S]
- *               [--unit-timeout S]
- *       Same plan, distributed: listen for `stems_trace worker`
- *       processes, hand out work units — whole workload rows or
- *       (workload, engine) cells per --unit-granularity — over
- *       the framed TCP protocol (src/net/), and after every unit
- *       has completed merge by
- *       running the plan locally over the shared (now warm) store.
- *       A dropped worker's unit stays reserved --resume-grace
- *       seconds for a reconnect-resume before it is requeued; the
- *       slow-worker watchdog requeues any unit held in flight past
- *       --unit-timeout (default: the serve timeout). Requires a
- *       store; stdout is bitwise identical to `stems_trace sweep`
- *       of the same plan.
- *   stems_trace worker --store DIR [--port P] [--host H]
- *               [--connect-timeout S] [--reconnects N]
- *               [--no-prefetch] [--metrics-out FILE]
- *               [--abandon-after N] [--drop-after N]
- *               [--drop-stall S] [--dup-done]
- *       Execute work units for a coordinator, simulating through
- *       the normal driver lane path into the shared store. The
- *       store directory must already exist. Fault hooks for tests
- *       and CI: --abandon-after vanishes without a goodbye after N
- *       units; --drop-after drops the connection once while holding
- *       a unit (stalling --drop-stall seconds), then reconnects and
- *       resumes it from the last committed checkpoint; --dup-done
- *       sends every completion twice.
+ *       Run a declarative SweepPlan: either built from the shared
+ *       bench flags (--workloads/--engines/--records/--seed/
+ *       --jobs/...) or loaded from a plan JSON file (--plan;
+ *       trace/policy flags are then ignored). With a store the
+ *       sweep replays anything already cached.
  */
 
 #include <cstdio>
@@ -75,13 +47,9 @@
 #include <string>
 #include <vector>
 
-#include <filesystem>
-
 #include "analysis/correlation.hh"
 #include "analysis/coverage.hh"
 #include "bench/bench_util.hh"
-#include "net/coord.hh"
-#include "net/worker.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
@@ -118,14 +86,7 @@ usage()
         "  stems_trace cache gc <budget-bytes> [--store DIR]\n"
         "  stems_trace list\n"
         "  stems_trace sweep [bench flags] [--plan FILE] "
-        "[--timing]\n"
-        "  stems_trace serve [bench flags] [--plan FILE] "
-        "[--timing] [--port P] [--serve-timeout S] "
-        "[--resume-grace S] [--unit-timeout S]\n"
-        "  stems_trace worker --store DIR [--port P] [--host H] "
-        "[--connect-timeout S] [--reconnects N] [--no-prefetch] "
-        "[--metrics-out FILE] [--abandon-after N] "
-        "[--drop-after N] [--drop-stall S] [--dup-done]\n");
+        "[--timing]\n");
     return 1;
 }
 
@@ -587,58 +548,35 @@ cmdCache(int argc, char **argv)
     return usage();
 }
 
-// ---- declarative sweeps: sweep / serve / worker ------------------
+// ---- declarative sweeps ------------------------------------------
 
 /**
- * Service flags peeled off before the shared bench CLI parses the
- * rest, so `sweep`/`serve` accept every bench flag (--workloads,
- * --engines, --records, --store, --json, obs sinks, ...) plus the
- * service-specific ones.
+ * Sweep flags peeled off before the shared bench CLI parses the
+ * rest, so `sweep` accepts every bench flag (--workloads, --engines,
+ * --records, --store, --json, obs sinks, ...) plus --plan/--timing.
  */
-struct ServiceArgs
+struct SweepArgs
 {
     std::string planPath;
     bool timing = false;
-    unsigned port = 0;
-    double serveTimeout = 600.0;
-    /// How long a dropped session's unit stays reserved for a
-    /// kResume before it is requeued.
-    double resumeGrace = 5.0;
-    /// Slow-worker watchdog: requeue a unit held in flight longer
-    /// than this. Negative = derive from --serve-timeout (a unit
-    /// held past the whole serve window can only time the sweep
-    /// out, so the watchdog reclaims it first).
-    double unitTimeout = -1.0;
     std::vector<char *> rest;
     bool ok = true;
 
-    ServiceArgs(int argc, char **argv)
+    SweepArgs(int argc, char **argv)
     {
         rest.push_back(argv[0]);
         for (int i = 2; i < argc; ++i) {
             std::string arg = argv[i];
-            auto value = [&]() -> const char * {
+            if (arg == "--plan") {
                 if (i + 1 >= argc) {
                     std::fprintf(stderr, "%s wants a value\n",
                                  arg.c_str());
                     ok = false;
-                    return "";
+                } else {
+                    planPath = argv[++i];
                 }
-                return argv[++i];
-            };
-            if (arg == "--plan") {
-                planPath = value();
             } else if (arg == "--timing") {
                 timing = true;
-            } else if (arg == "--port") {
-                port = static_cast<unsigned>(
-                    std::strtoul(value(), nullptr, 10));
-            } else if (arg == "--serve-timeout") {
-                serveTimeout = std::strtod(value(), nullptr);
-            } else if (arg == "--resume-grace") {
-                resumeGrace = std::strtod(value(), nullptr);
-            } else if (arg == "--unit-timeout") {
-                unitTimeout = std::strtod(value(), nullptr);
             } else {
                 rest.push_back(argv[i]);
             }
@@ -662,37 +600,36 @@ readWholeFile(const std::string &path, std::string &out)
     return ok;
 }
 
-/** The plan for sweep/serve: --plan FILE wins; otherwise built from
- *  the bench flags via the one CLI->plan mapping (benchPlan). */
+/** The sweep's plan: --plan FILE wins; otherwise built from the
+ *  bench flags via the one CLI->plan mapping (benchPlan). */
 bool
-buildServicePlan(const BenchOptions &opts, const ServiceArgs &svc,
-                 SweepPlan &plan)
+buildSweepPlan(const BenchOptions &opts, const SweepArgs &sweep,
+               SweepPlan &plan)
 {
-    if (!svc.planPath.empty()) {
+    if (!sweep.planPath.empty()) {
         std::string text, parse_error;
-        if (!readWholeFile(svc.planPath, text)) {
+        if (!readWholeFile(sweep.planPath, text)) {
             std::fprintf(stderr, "cannot read plan '%s'\n",
-                         svc.planPath.c_str());
+                         sweep.planPath.c_str());
             return false;
         }
         if (!parseSweepPlanJson(text, plan, &parse_error)) {
             std::fprintf(stderr, "bad plan '%s': %s\n",
-                         svc.planPath.c_str(),
+                         sweep.planPath.c_str(),
                          parse_error.c_str());
             return false;
         }
         return true;
     }
-    plan = benchPlan(opts, svc.timing, benchWorkloads(opts),
+    plan = benchPlan(opts, sweep.timing, benchWorkloads(opts),
                      benchEngines(opts, {"tms", "sms", "stems"}));
     return true;
 }
 
 /**
- * Banner + results shared verbatim by `sweep` and `serve`: both are
- * derived from the plan and the results only — never from the store
- * directory, port, or worker count — so distributed stdout is
- * bitwise identical to single-process stdout.
+ * Banner and results depend on the plan and the results only, never
+ * on the store directory, so a warm re-run of a plan prints the same
+ * bytes as a cold one.
  */
 void
 printPlanBanner(const SweepPlan &plan)
@@ -735,15 +672,15 @@ printSweepResults(const SweepPlan &plan,
 int
 cmdSweep(int argc, char **argv)
 {
-    ServiceArgs svc(argc, argv);
-    if (!svc.ok)
+    SweepArgs sweep(argc, argv);
+    if (!sweep.ok)
         return usage();
     BenchOptions opts = parseBenchOptions(
-        static_cast<int>(svc.rest.size()), svc.rest.data(),
+        static_cast<int>(sweep.rest.size()), sweep.rest.data(),
         2'000'000);
     BenchObsSession obs(opts, "stems_trace sweep");
     SweepPlan plan;
-    if (!buildServicePlan(opts, svc, plan))
+    if (!buildSweepPlan(opts, sweep, plan))
         return 1;
     printPlanBanner(plan);
 
@@ -754,186 +691,6 @@ cmdSweep(int argc, char **argv)
     printSweepResults(plan, results);
     reportStoreStats(driver);
     obs.finish();
-    return 0;
-}
-
-int
-cmdServe(int argc, char **argv)
-{
-    ServiceArgs svc(argc, argv);
-    if (!svc.ok)
-        return usage();
-    BenchOptions opts = parseBenchOptions(
-        static_cast<int>(svc.rest.size()), svc.rest.data(),
-        2'000'000);
-    BenchObsSession obs(opts, "stems_trace serve");
-    SweepPlan plan;
-    if (!buildServicePlan(opts, svc, plan))
-        return 1;
-    if (opts.storeDir.empty()) {
-        std::fprintf(stderr,
-                     "serve needs a shared store (--store DIR or "
-                     "STEMS_STORE): workers deliver results "
-                     "through it\n");
-        return 1;
-    }
-    printPlanBanner(plan);
-
-    // Fail before listening: workers and the merge share this store.
-    if (!TraceStore(opts.storeDir).usable()) {
-        std::fprintf(stderr, "serve: cannot open store '%s'\n",
-                     opts.storeDir.c_str());
-        return 1;
-    }
-
-    std::string error;
-    SweepCoordinator coord(plan);
-    coord.setResumeGraceSeconds(svc.resumeGrace);
-    coord.setUnitTimeoutSeconds(
-        svc.unitTimeout >= 0.0 ? svc.unitTimeout
-                               : svc.serveTimeout);
-    if (!coord.listen(static_cast<std::uint16_t>(svc.port),
-                      &error)) {
-        std::fprintf(stderr, "serve: %s\n", error.c_str());
-        return 1;
-    }
-    std::fprintf(stderr, "[serve] listening on port %u, %zu %s "
-                         "unit(s)\n",
-                 coord.port(), coord.unitCount(),
-                 unitGranularityName(plan.unitGranularity));
-    if (!coord.serve(svc.serveTimeout, &error)) {
-        std::fprintf(stderr, "serve: %s\n", error.c_str());
-        return 1;
-    }
-    std::fprintf(stderr,
-                 "[serve] %llu unit(s) completed by %llu worker(s)"
-                 " (%llu requeued) (%llu resumed); merging from "
-                 "store\n",
-                 static_cast<unsigned long long>(
-                     coord.unitsCompleted()),
-                 static_cast<unsigned long long>(
-                     coord.workersSeen()),
-                 static_cast<unsigned long long>(
-                     coord.unitsRequeued()),
-                 static_cast<unsigned long long>(
-                     coord.unitsResumed()));
-
-    // Merge: the same plan over the now-warm shared store. Every
-    // cell the workers ran is a store hit, so this reproduces the
-    // single-process output bitwise in fixed plan order.
-    ExperimentDriver driver;
-    configureBenchDriver(driver, opts);
-    const auto results = driver.run(plan);
-    maybeWriteJson(opts, results);
-    printSweepResults(plan, results);
-    reportStoreStats(driver);
-    obs.finish();
-    return 0;
-}
-
-int
-cmdWorker(int argc, char **argv)
-{
-    WorkerOptions w;
-    if (const char *env = std::getenv("STEMS_STORE"))
-        w.storeDir = env;
-    unsigned abandon = 0;
-    std::string metrics_out;
-    bool ok = true;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s wants a value\n",
-                             arg.c_str());
-                ok = false;
-                return "";
-            }
-            return argv[++i];
-        };
-        if (arg == "--store") {
-            w.storeDir = value();
-        } else if (arg == "--port") {
-            w.port = static_cast<std::uint16_t>(
-                std::strtoul(value(), nullptr, 10));
-        } else if (arg == "--host") {
-            w.host = value();
-        } else if (arg == "--connect-timeout") {
-            w.connectTimeoutSeconds = std::strtod(value(), nullptr);
-        } else if (arg == "--abandon-after") {
-            abandon = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-        } else if (arg == "--drop-after") {
-            w.dropAfterUnits = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-        } else if (arg == "--drop-stall") {
-            w.reconnectStallSeconds =
-                std::strtod(value(), nullptr);
-        } else if (arg == "--dup-done") {
-            w.duplicateUnitDone = true;
-        } else if (arg == "--reconnects") {
-            w.maxReconnects = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-        } else if (arg == "--no-prefetch") {
-            w.prefetchTraces = false;
-        } else if (arg == "--metrics-out") {
-            metrics_out = value();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            ok = false;
-        }
-    }
-    w.abandonAfterUnits = abandon;
-    if (!ok || w.port == 0) {
-        std::fprintf(stderr, "worker needs --port P\n");
-        return usage();
-    }
-    if (w.storeDir.empty()) {
-        std::fprintf(stderr,
-                     "worker needs a store (--store DIR or "
-                     "STEMS_STORE)\n");
-        return 1;
-    }
-    // Validate the store directory before touching the network:
-    // a worker pointed at the wrong path would otherwise connect,
-    // take units, and fail them one by one.
-    std::error_code ec;
-    if (!std::filesystem::is_directory(w.storeDir, ec)) {
-        std::fprintf(stderr, "no trace store at '%s'\n",
-                     w.storeDir.c_str());
-        return 1;
-    }
-
-    WorkerReport report;
-    std::string error;
-    const bool worker_ok = runWorker(w, &report, &error);
-    if (!metrics_out.empty()) {
-        // Written on failure too: a faulted worker's counters
-        // (units completed before the fault, resume bookkeeping)
-        // are exactly what a post-mortem wants.
-        std::string obs_error;
-        if (!writeMetricsJson(metrics_out,
-                              MetricsRegistry::instance()
-                                  .snapshot(),
-                              &obs_error))
-            std::fprintf(stderr, "worker: %s\n",
-                         obs_error.c_str());
-    }
-    if (!worker_ok) {
-        std::fprintf(stderr, "worker: %s\n", error.c_str());
-        return 1;
-    }
-    std::fprintf(stderr,
-                 "[worker] %llu unit(s) completed "
-                 "(%llu resumed, %llu reconnect(s))%s\n",
-                 static_cast<unsigned long long>(
-                     report.unitsCompleted),
-                 static_cast<unsigned long long>(
-                     report.unitsResumed),
-                 static_cast<unsigned long long>(
-                     report.reconnects),
-                 report.abandoned ? " (abandoned)" : "");
     return 0;
 }
 
@@ -962,9 +719,5 @@ main(int argc, char **argv)
         return cmdCache(argc, argv);
     if (std::strcmp(argv[1], "sweep") == 0)
         return cmdSweep(argc, argv);
-    if (std::strcmp(argv[1], "serve") == 0)
-        return cmdServe(argc, argv);
-    if (std::strcmp(argv[1], "worker") == 0)
-        return cmdWorker(argc, argv);
     return usage();
 }
