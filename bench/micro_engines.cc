@@ -219,14 +219,14 @@ main(int argc, char **argv)
         }
     });
     suite.component("pst-lookup", n, [&] {
-        std::vector<SpatialElement> out;
-        std::uint64_t hits = 0;
-        for (const MemRecord &e : events)
-            hits += pst.lookup(stemsPatternIndex(
-                                   pc16Of(e.pc),
-                                   regionOffset(e.vaddr)),
-                               out);
-        g_sink = hits;
+        std::uint64_t elements = 0;
+        for (const MemRecord &e : events) {
+            auto seq = pst.lookup(stemsPatternIndex(
+                pc16Of(e.pc), regionOffset(e.vaddr)));
+            if (seq)
+                elements += seq->size() + 1;
+        }
+        g_sink = elements;
     });
 
     // ---- RMOB: append and search --------------------------------
@@ -264,7 +264,6 @@ main(int argc, char **argv)
 
     // ---- StreamQueueSet: allocate/advance -----------------------
     suite.component("stream-queues", n, [&] {
-        StreamQueueSet queues;
         std::uint64_t cursor = 0;
         auto refill = [&](RingQueue<Addr> &pending,
                           std::uint64_t &state) {
@@ -273,6 +272,7 @@ main(int argc, char **argv)
                     events[(state + i) % n].vaddr);
             state += 16;
         };
+        StreamQueueSet queues({}, refill);
         std::vector<Addr> initial(8);
         std::vector<PrefetchRequest> reqs;
         int id = -1;
@@ -280,7 +280,7 @@ main(int argc, char **argv)
             if ((i & 0xFF) == 0) {
                 for (std::size_t k = 0; k < initial.size(); ++k)
                     initial[k] = events[(i + k) % n].vaddr;
-                id = queues.allocate(initial, refill, false,
+                id = queues.allocate(initial, /*confirmed=*/false,
                                      cursor);
             }
             queues.onHit(id);

@@ -17,6 +17,7 @@ PatternSequenceTable::train(
     std::size_t sequence_len, std::uint32_t access_mask)
 {
     Entry &e = table_.findOrInsert(index);
+    e.stale = true;
 
     std::uint8_t position = 0;
     for (std::size_t i = 0; i < sequence_len; ++i) {
@@ -38,14 +39,9 @@ PatternSequenceTable::train(
     }
 }
 
-bool
-PatternSequenceTable::lookup(std::uint64_t index,
-                             std::vector<SpatialElement> &out) const
+void
+PatternSequenceTable::rebuildPrediction(const Entry &e) const
 {
-    const Entry *e = table_.peek(index);
-    if (e == nullptr)
-        return false;
-
     struct Item
     {
         std::uint8_t order;
@@ -54,10 +50,10 @@ PatternSequenceTable::lookup(std::uint64_t index,
     Item items[kBlocksPerRegion];
     unsigned n = 0;
     for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
-        if (e->counter[off] >= params_.predictThreshold) {
-            items[n].order = e->order[off];
+        if (e.counter[off] >= params_.predictThreshold) {
+            items[n].order = e.order[off];
             items[n].element.offset = static_cast<std::uint8_t>(off);
-            items[n].element.delta = e->delta[off];
+            items[n].element.delta = e.delta[off];
             ++n;
         }
     }
@@ -66,10 +62,21 @@ PatternSequenceTable::lookup(std::uint64_t index,
             return a.order < b.order;
         return a.element.offset < b.element.offset;
     });
-    out.clear();
     for (unsigned i = 0; i < n; ++i)
-        out.push_back(items[i].element);
-    return true;
+        e.predicted[i] = items[i].element;
+    e.predictedLen = static_cast<std::uint8_t>(n);
+    e.stale = false;
+}
+
+std::optional<SpatialSpan>
+PatternSequenceTable::lookup(std::uint64_t index) const
+{
+    const Entry *e = table_.peek(index);
+    if (e == nullptr)
+        return std::nullopt;
+    if (e->stale)
+        rebuildPrediction(*e);
+    return SpatialSpan{e->predicted, e->predictedLen};
 }
 
 std::uint32_t

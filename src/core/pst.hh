@@ -16,6 +16,7 @@
 #define STEMS_CORE_PST_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/lru_table.hh"
@@ -49,6 +50,22 @@ struct SpatialElement
     /** Global misses strictly between the previous access to this
      *  region (in this generation) and this access. */
     std::uint8_t delta = 0;
+};
+
+/** Non-owning view of a run of spatial elements. */
+struct SpatialSpan
+{
+    const SpatialElement *first = nullptr;
+    std::size_t count = 0;
+
+    const SpatialElement *begin() const { return first; }
+    const SpatialElement *end() const { return first + count; }
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    const SpatialElement &operator[](std::size_t i) const
+    {
+        return first[i];
+    }
 };
 
 /** PST configuration (paper defaults). */
@@ -93,13 +110,13 @@ class PatternSequenceTable
 
     /**
      * Predicted sequence for an index: elements whose counters meet
-     * the threshold, in stored access order.
+     * the threshold, ordered by stored access order, then offset.
      *
-     * @return true when the index had an entry (even if no element
-     *         currently predicts).
+     * @return nullopt when the index has no entry; otherwise a view
+     *         (possibly empty) that stays valid until the next
+     *         train() or loadState().
      */
-    bool lookup(std::uint64_t index,
-                std::vector<SpatialElement> &out) const;
+    std::optional<SpatialSpan> lookup(std::uint64_t index) const;
 
     /**
      * Bitmask of offsets currently predicted for an index (used to
@@ -123,7 +140,19 @@ class PatternSequenceTable
         std::uint8_t counter[kBlocksPerRegion] = {};
         std::uint8_t delta[kBlocksPerRegion] = {};
         std::uint8_t order[kBlocksPerRegion] = {};
+
+        /// Derived state, never serialized: the predicted elements
+        /// as lookup() returns them. Lookups outnumber trainings
+        /// ~12:1, so the list is built on the first lookup after the
+        /// entry changed (stale), not on every lookup — and not in
+        /// train(), which would pay for lists nobody reads.
+        mutable SpatialElement predicted[kBlocksPerRegion] = {};
+        mutable std::uint8_t predictedLen = 0;
+        mutable bool stale = true;
     };
+
+    /** Rebuild an entry's predicted list from its counters. */
+    void rebuildPrediction(const Entry &e) const;
 
     PstParams params_;
     LruTable<Entry> table_;

@@ -2,6 +2,8 @@
 
 #include "common/state_codec.hh"
 
+#include <algorithm>
+
 namespace stems {
 
 namespace {
@@ -19,25 +21,29 @@ saveHistogram(StateWriter &w, const Histogram &h)
     }
 }
 
-void
-loadHistogram(StateReader &r, Histogram &h)
-{
-    h = Histogram();
-    std::uint64_t buckets = r.u64();
-    for (std::uint64_t i = 0; i < buckets && r.ok(); ++i) {
-        std::int64_t bucket = r.i64();
-        std::uint64_t count = r.u64();
-        h.add(bucket, count);
-    }
-}
-
 } // namespace
 
 Reconstructor::Reconstructor(const RegionMissOrderBuffer &rmob,
                              const PatternSequenceTable &pst,
                              ReconstructionParams params)
-    : rmob_(rmob), pst_(pst), params_(params)
+    : rmob_(rmob), pst_(pst), params_(params),
+      // No placement lands further than the buffer is long, which
+      // bounds the counts array whatever window is configured.
+      window_(std::min<std::size_t>(params.displacementWindow,
+                                    params.bufferSlots)),
+      displacementCounts_(2 * window_ + 1)
 {
+}
+
+Histogram
+Reconstructor::displacements() const
+{
+    Histogram h;
+    const auto window = static_cast<std::int64_t>(window_);
+    for (std::int64_t d = -window; d <= window; ++d)
+        if (std::uint64_t n = displacementCounts_[d + window])
+            h.add(d, n);
+    return h;
 }
 
 bool
@@ -46,22 +52,23 @@ Reconstructor::place(std::vector<Addr> &slots, std::size_t slot,
 {
     if (slot >= slots.size())
         return false;
+    const std::size_t window = window_;
     if (slots[slot] == 0) {
         slots[slot] = a;
-        displacements_.add(0);
+        ++displacementCounts_[window];
         return true;
     }
     // Occupied: search adjacent slots, nearest first, forward before
     // backward (paper Section 4.3).
-    for (unsigned d = 1; d <= params_.displacementWindow; ++d) {
+    for (std::size_t d = 1; d <= window; ++d) {
         if (slot + d < slots.size() && slots[slot + d] == 0) {
             slots[slot + d] = a;
-            displacements_.add(static_cast<std::int64_t>(d));
+            ++displacementCounts_[window + d];
             return true;
         }
         if (slot >= d && slots[slot - d] == 0) {
             slots[slot - d] = a;
-            displacements_.add(-static_cast<std::int64_t>(d));
+            ++displacementCounts_[window - d];
             return true;
         }
     }
@@ -70,21 +77,22 @@ Reconstructor::place(std::vector<Addr> &slots, std::size_t slot,
 }
 
 void
-Reconstructor::expandSpatial(
-    std::vector<Addr> &slots, std::size_t trigger_slot,
-    const RmobEntry &entry,
-    const std::function<void(Addr, std::uint64_t)> &note_region)
+Reconstructor::expandSpatial(std::vector<Addr> &slots,
+                             std::size_t trigger_slot,
+                             const RmobEntry &entry,
+                             RegionNote note_region)
 {
     std::uint64_t index =
         stemsPatternIndex(entry.pc16, regionOffset(entry.addr));
-    if (!pst_.lookup(index, lookupScratch_))
+    std::optional<SpatialSpan> sequence = pst_.lookup(index);
+    if (!sequence)
         return;
     Addr region = regionBase(entry.addr);
     if (note_region)
         note_region(region, index);
 
     std::size_t cursor = trigger_slot;
-    for (const SpatialElement &el : lookupScratch_) {
+    for (const SpatialElement &el : *sequence) {
         cursor += el.delta + 1;
         if (cursor >= slots.size() + params_.displacementWindow)
             break;
@@ -94,9 +102,8 @@ Reconstructor::expandSpatial(
 }
 
 Reconstructor::Window
-Reconstructor::reconstruct(
-    RegionMissOrderBuffer::Position start_pos,
-    const std::function<void(Addr, std::uint64_t)> &note_region)
+Reconstructor::reconstruct(RegionMissOrderBuffer::Position start_pos,
+                           RegionNote note_region)
 {
     Window w;
     auto head = rmob_.at(start_pos);
@@ -152,7 +159,7 @@ void
 Reconstructor::saveState(StateWriter &w) const
 {
     w.tag(kReconTag);
-    saveHistogram(w, displacements_);
+    saveHistogram(w, displacements());
     w.u64(dropped_);
     w.u64(windows_);
 }
@@ -161,7 +168,24 @@ void
 Reconstructor::loadState(StateReader &r)
 {
     r.tag(kReconTag);
-    loadHistogram(r, displacements_);
+    // A bucket no live reconstructor could have counted fails the
+    // reader: one outside the displacement window, a zero count, or
+    // keys out of ascending order (which covers a duplicate).
+    const auto window = static_cast<std::int64_t>(window_);
+    std::fill(displacementCounts_.begin(), displacementCounts_.end(),
+              0);
+    std::uint64_t buckets = r.u64();
+    std::int64_t last = -window - 1;
+    for (std::uint64_t i = 0; i < buckets && r.ok(); ++i) {
+        std::int64_t d = r.i64();
+        std::uint64_t n = r.u64();
+        if (d <= last || d > window || n == 0) {
+            r.fail();
+            return;
+        }
+        displacementCounts_[d + window] = n;
+        last = d;
+    }
     dropped_ = r.u64();
     windows_ = r.u64();
 }

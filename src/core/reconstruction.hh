@@ -17,9 +17,9 @@
 #ifndef STEMS_CORE_RECONSTRUCTION_HH
 #define STEMS_CORE_RECONSTRUCTION_HH
 
-#include <functional>
 #include <vector>
 
+#include "common/function_ref.hh"
 #include "common/stats.hh"
 #include "core/pst.hh"
 #include "core/rmob.hh"
@@ -52,6 +52,10 @@ class Reconstructor
                   const PatternSequenceTable &pst,
                   ReconstructionParams params = {});
 
+    /** Called with (region base, PST index) for each region whose
+     *  spatial sequence a reconstruction used. */
+    using RegionNote = FunctionRef<void(Addr, std::uint64_t)>;
+
     /** Result of reconstructing one window. */
     struct Window
     {
@@ -72,13 +76,12 @@ class Reconstructor
      *                     sequence was used — feeds the spatial-only
      *                     stream check of Section 4.2.
      */
-    Window reconstruct(
-        RegionMissOrderBuffer::Position start_pos,
-        const std::function<void(Addr, std::uint64_t)> &note_region =
-            nullptr);
+    Window reconstruct(RegionMissOrderBuffer::Position start_pos,
+                       RegionNote note_region = nullptr);
 
-    /** Displacement histogram (0 = original slot). */
-    const Histogram &displacements() const { return displacements_; }
+    /** Displacement histogram (0 = original slot), built from the
+     *  per-displacement counts. */
+    Histogram displacements() const;
 
     /** Addresses dropped because no free slot was within reach. */
     std::uint64_t dropped() const { return dropped_; }
@@ -99,10 +102,9 @@ class Reconstructor
     bool place(std::vector<Addr> &slots, std::size_t slot, Addr a);
 
     /** Expand one RMOB entry's spatial sequence into the buffer. */
-    void expandSpatial(
-        std::vector<Addr> &slots, std::size_t trigger_slot,
-        const RmobEntry &entry,
-        const std::function<void(Addr, std::uint64_t)> &note_region);
+    void expandSpatial(std::vector<Addr> &slots,
+                       std::size_t trigger_slot, const RmobEntry &entry,
+                       RegionNote note_region);
 
     /** A backbone entry laid down in phase one (see reconstruct). */
     struct Placed
@@ -114,13 +116,19 @@ class Reconstructor
     const RegionMissOrderBuffer &rmob_;
     const PatternSequenceTable &pst_;
     ReconstructionParams params_;
-    Histogram displacements_;
+    /// The displacement search bound: the configured window, capped
+    /// at the buffer length (no placement can land further away).
+    std::size_t window_;
+    /// Placements per displacement d in [-window_, +window_], at
+    /// index d + window_. place() runs for every predicted address,
+    /// so it counts in a flat array; displacements() and saveState()
+    /// fold the array into Histogram form.
+    std::vector<std::uint64_t> displacementCounts_;
     std::uint64_t dropped_ = 0;
     std::uint64_t windows_ = 0;
     /// Per-call scratch held as members so repeated reconstructions
     /// reuse capacity instead of reallocating (reconstruct() is on
     /// the per-miss hot path). Contents are dead between calls.
-    std::vector<SpatialElement> lookupScratch_;
     std::vector<Addr> slotScratch_;
     std::vector<Placed> backboneScratch_;
 };

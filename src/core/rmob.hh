@@ -10,9 +10,10 @@
  * between the previous RMOB entry and this one. Filtering shrinks the
  * buffer from TMS's 384K entries (2 MB) to 128K entries (1 MB).
  *
- * An address index maps each block to its most recent RMOB position,
- * modelled after the main-memory hash table of the TMS follow-on
- * work; stale entries (overwritten positions) are detected on lookup.
+ * An address index (common/addr_index.hh) maps each block to its
+ * most recent RMOB position, modelled after the main-memory hash
+ * table of the TMS follow-on work; stale entries (overwritten
+ * positions) are detected on lookup.
  */
 
 #ifndef STEMS_CORE_RMOB_HH
@@ -20,8 +21,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "common/addr_index.hh"
 #include "common/circular_buffer.hh"
 #include "common/types.hh"
 
@@ -78,12 +79,14 @@ class RegionMissOrderBuffer
     /** Serialize buffer + address index (checkpointing). */
     void saveState(StateWriter &w) const;
 
-    /** Restore state saved from an equal-capacity buffer. */
+    /** Restore state saved from an equal-capacity buffer (fails the
+     *  reader on an index entry no live buffer could hold; see
+     *  AddrIndex::loadState). */
     void loadState(StateReader &r);
 
   private:
     CircularBuffer<RmobEntry> buffer_;
-    std::unordered_map<Addr, Position> index_;
+    AddrIndex index_;
 };
 
 } // namespace stems

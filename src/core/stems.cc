@@ -22,7 +22,9 @@ StemsPrefetcher::StemsPrefetcher(StemsParams params)
       pst_(params.pst),
       rmob_(params.rmobEntries),
       recon_(rmob_, pst_, params.reconstruction),
-      streams_(params.streams),
+      streams_(params.streams,
+               StreamQueueSet::RefillFn::bind<
+                   &StemsPrefetcher::refillTemporal>(this)),
       reconIndex_(params.reconIndexEntries, 8)
 {
     agt_.setEndCallback(
@@ -55,35 +57,28 @@ StemsPrefetcher::noteReconstructedRegion(Addr region,
     reconIndex_.findOrInsert(regionNumber(region)) = index;
 }
 
-StreamQueueSet::RefillFn
-StemsPrefetcher::temporalRefill()
+void
+StemsPrefetcher::refillTemporal(RingQueue<Addr> &pending,
+                                std::uint64_t &resume_pos)
 {
-    // The stream's resume position travels in the queue's refill
-    // cursor, not in the closure, so a checkpointed queue set can
-    // serialize it and reattach this (stateless) closure on restore.
-    return [this](RingQueue<Addr> &pending,
-                  std::uint64_t &resume_pos) {
-        Reconstructor::Window more = recon_.reconstruct(
-            resume_pos, [this](Addr region, std::uint64_t index) {
-                noteReconstructedRegion(region, index);
-            });
-        if (!more.valid)
-            return;
-        resume_pos = more.nextPos;
-        for (Addr a : more.sequence)
-            pending.push_back(a);
-    };
+    Reconstructor::Window more = recon_.reconstruct(
+        resume_pos,
+        Reconstructor::RegionNote::bind<
+            &StemsPrefetcher::noteReconstructedRegion>(this));
+    if (!more.valid)
+        return;
+    resume_pos = more.nextPos;
+    for (Addr a : more.sequence)
+        pending.push_back(a);
 }
 
 void
 StemsPrefetcher::startTemporalStream(
     RegionMissOrderBuffer::Position pos)
 {
-    auto note = [this](Addr region, std::uint64_t index) {
-        noteReconstructedRegion(region, index);
-    };
-
-    Reconstructor::Window w = recon_.reconstruct(pos, note);
+    Reconstructor::Window w = recon_.reconstruct(
+        pos, Reconstructor::RegionNote::bind<
+                 &StemsPrefetcher::noteReconstructedRegion>(this));
     if (!w.valid || w.sequence.size() <= 1)
         return; // nothing predicted beyond the initiating miss
 
@@ -91,9 +86,8 @@ StemsPrefetcher::startTemporalStream(
     auto initial = addrPool_.acquire();
     initial->assign(w.sequence.begin() + 1, w.sequence.end());
 
-    streams_.allocate(*initial, temporalRefill(),
-                      /*confirmed=*/false,
-                      /*refill_state=*/w.nextPos);
+    streams_.allocate(*initial, /*confirmed=*/false,
+                      /*refill_cursor=*/w.nextPos);
 }
 
 void
@@ -113,14 +107,13 @@ StemsPrefetcher::maybeStartSpatialOnlyStream(
     // index) needs the spatial stream regardless of coverage.
     (void)trigger_covered;
 
-    if (!pst_.lookup(gen.index, lookupScratch_) ||
-        lookupScratch_.empty()) {
+    std::optional<SpatialSpan> sequence = pst_.lookup(gen.index);
+    if (!sequence || sequence->empty())
         return;
-    }
 
     auto addrs = addrPool_.acquire();
-    addrs->reserve(lookupScratch_.size());
-    for (const SpatialElement &el : lookupScratch_) {
+    addrs->reserve(sequence->size());
+    for (const SpatialElement &el : *sequence) {
         if (el.offset == gen.triggerOffset)
             continue;
         addrs->push_back(
@@ -132,8 +125,7 @@ StemsPrefetcher::maybeStartSpatialOnlyStream(
     ++spatialOnlyStreams_;
     // Spatial-only streams trust the pattern immediately (the delta
     // information is ignored, Section 4.2).
-    streams_.allocate(*addrs, nullptr,
-                      /*confirmed=*/true);
+    streams_.allocate(*addrs, /*confirmed=*/true);
 }
 
 void
@@ -269,7 +261,7 @@ StemsPrefetcher::loadState(StateReader &r)
     pst_.loadState(r);
     rmob_.loadState(r);
     recon_.loadState(r);
-    streams_.loadState(r, temporalRefill());
+    streams_.loadState(r);
     reconIndex_.loadState(r,
                           [](StateReader &sr, std::uint64_t &v) {
                               v = sr.u64();

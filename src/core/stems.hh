@@ -58,6 +58,10 @@ class StemsPrefetcher : public Prefetcher
   public:
     explicit StemsPrefetcher(StemsParams params = {});
 
+    /** The AGT and the stream queues call back into this object. */
+    StemsPrefetcher(const StemsPrefetcher &) = delete;
+    StemsPrefetcher &operator=(const StemsPrefetcher &) = delete;
+
     std::string name() const override { return "stems"; }
 
     std::size_t
@@ -97,9 +101,11 @@ class StemsPrefetcher : public Prefetcher
 
   private:
     void onGenerationEnd(const StemsGeneration &gen);
-    /** The shared refill closure of temporal streams (state-free;
-     *  the resume position lives in the stream queue's cursor). */
-    StreamQueueSet::RefillFn temporalRefill();
+    /** The stream queues' refill source: every temporal stream
+     *  resumes reconstruction from its cursor (the RMOB position),
+     *  which the queue holds and serializes. */
+    void refillTemporal(RingQueue<Addr> &pending,
+                        std::uint64_t &resume_pos);
     void startTemporalStream(RegionMissOrderBuffer::Position pos);
     void maybeStartSpatialOnlyStream(const StemsGeneration &gen,
                                      bool trigger_covered);
@@ -119,7 +125,6 @@ class StemsPrefetcher : public Prefetcher
     std::uint64_t lastAppendSeq_ = 0;
     std::uint64_t filtered_ = 0;
     std::uint64_t spatialOnlyStreams_ = 0;
-    std::vector<SpatialElement> lookupScratch_;
     /** Recycled scratch for stream-start address lists (a temporal
      *  or spatial-only stream start builds one, hands it to
      *  StreamQueueSet::allocate by const reference, and returns the

@@ -2,20 +2,20 @@
 
 namespace stems {
 
-StreamQueueSet::StreamQueueSet(StreamParams params)
-    : params_(params), streams_(params.numStreams)
+StreamQueueSet::StreamQueueSet(StreamParams params, RefillFn refill)
+    : params_(params), refill_(refill), streams_(params.numStreams)
 {
 }
 
 void
 StreamQueueSet::maybeRefill(Stream &s)
 {
-    if (s.exhausted || !s.refill)
+    if (s.exhausted || !s.refills || !refill_)
         return;
     if (s.pending.size() >= params_.refillLowWater)
         return;
     std::size_t before = s.pending.size();
-    s.refill(s.pending, s.refillState);
+    refill_(s.pending, s.refillState);
     if (s.pending.size() == before)
         s.exhausted = true;
 }
@@ -61,8 +61,8 @@ StreamQueueSet::decodeId(int stream_id, std::size_t *index_out)
 
 int
 StreamQueueSet::allocate(const std::vector<Addr> &initial,
-                         RefillFn refill, bool confirmed,
-                         std::uint64_t refill_state)
+                         bool confirmed,
+                         std::optional<std::uint64_t> refill_cursor)
 {
     std::size_t victim = 0;
     for (std::size_t i = 0; i < streams_.size(); ++i) {
@@ -84,8 +84,8 @@ StreamQueueSet::allocate(const std::vector<Addr> &initial,
     s.active = true;
     s.confirmed = confirmed;
     s.pending.assign(initial.begin(), initial.end());
-    s.refill = std::move(refill);
-    s.refillState = refill_state;
+    s.refills = refill_cursor.has_value();
+    s.refillState = refill_cursor.value_or(0);
     s.lru = ++clock_;
     ++allocated_;
     int id = encodeId(victim, s.generation);
@@ -186,7 +186,7 @@ StreamQueueSet::saveState(StateWriter &w) const
         w.u64(s.pending.size());
         for (std::size_t k = 0; k < s.pending.size(); ++k)
             w.u64(s.pending[k]);
-        w.boolean(static_cast<bool>(s.refill));
+        w.boolean(s.refills);
         w.u64(s.refillState);
         w.u64(s.lru);
         w.i64(s.inFlight);
@@ -196,7 +196,7 @@ StreamQueueSet::saveState(StateWriter &w) const
 }
 
 void
-StreamQueueSet::loadState(StateReader &r, const RefillFn &refill)
+StreamQueueSet::loadState(StateReader &r)
 {
     r.tag(kStreamsTag);
     globalInFlight_ = static_cast<int>(r.i64());
@@ -221,8 +221,7 @@ StreamQueueSet::loadState(StateReader &r, const RefillFn &refill)
         }
         for (std::uint64_t i = 0; i < pending && r.ok(); ++i)
             s.pending.push_back(r.u64());
-        if (r.boolean())
-            s.refill = refill;
+        s.refills = r.boolean();
         s.refillState = r.u64();
         s.lru = r.u64();
         s.inFlight = static_cast<int>(r.i64());

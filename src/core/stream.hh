@@ -15,10 +15,11 @@
 #define STEMS_CORE_STREAM_HH
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/circular_buffer.hh"
+#include "common/function_ref.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace stems {
@@ -53,31 +54,37 @@ class StreamQueueSet
      * The second argument is the stream's persistent refill cursor
      * (for temporal streams: the RMOB position to resume
      * reconstruction from). It lives in the queue, not in the
-     * closure, so the queue set can serialize it at a checkpoint and
-     * the owner can reattach a stateless closure on restore. The
-     * closure itself must therefore capture only immortal context
-     * (the owning engine), never per-stream state.
+     * source, so one stateless source serves every refilling stream
+     * of the set and the queue set can serialize the cursor at a
+     * checkpoint.
      */
-    using RefillFn =
-        std::function<void(RingQueue<Addr> &, std::uint64_t &)>;
+    using RefillFn = FunctionRef<void(RingQueue<Addr> &,
+                                      std::uint64_t &)>;
 
-    explicit StreamQueueSet(StreamParams params = {});
+    /**
+     * @param refill  the refill source of every stream allocated
+     *                with a cursor (may be null: all streams are
+     *                finite). Not owned; it must outlive the set.
+     */
+    explicit StreamQueueSet(StreamParams params = {},
+                            RefillFn refill = nullptr);
 
     /**
      * Allocate a stream (victimizing an idle or the LRU queue).
      *
-     * @param initial       predicted addresses, in order.
-     * @param refill        refill source (may be null: finite
-     *                      stream).
-     * @param confirmed     start past the confidence ramp
-     *                      (spatial-only streams trust the pattern
-     *                      immediately).
-     * @param refill_state  initial refill cursor handed to `refill`.
+     * @param initial        predicted addresses, in order.
+     * @param confirmed      start past the confidence ramp
+     *                       (spatial-only streams trust the pattern
+     *                       immediately).
+     * @param refill_cursor  present: the stream refills from the
+     *                       set's refill source, starting from this
+     *                       cursor; absent: a finite stream.
      * @return the stream id.
      */
-    int allocate(const std::vector<Addr> &initial, RefillFn refill,
+    int allocate(const std::vector<Addr> &initial,
                  bool confirmed = false,
-                 std::uint64_t refill_state = 0);
+                 std::optional<std::uint64_t> refill_cursor =
+                     std::nullopt);
 
     /**
      * Demand miss resync: when the address sits near the head of a
@@ -103,19 +110,12 @@ class StreamQueueSet
     std::uint64_t streamsAllocated() const { return allocated_; }
 
     /** Serialize the full queue-set state (checkpointing). A
-     *  stream's refill closure is represented by a has-refill flag
-     *  plus its cursor; the owner reattaches the closure on load. */
+     *  stream's refill state is its has-refill flag plus its
+     *  cursor; the refill source itself belongs to the owner. */
     void saveState(StateWriter &w) const;
 
-    /**
-     * Restore state written by saveState.
-     *
-     * @param refill  closure attached to every restored stream that
-     *                had one (all refilling streams of one owner
-     *                share the same stateless closure; per-stream
-     *                state travels in the serialized cursor).
-     */
-    void loadState(StateReader &r, const RefillFn &refill);
+    /** Restore state written by saveState. */
+    void loadState(StateReader &r);
 
   private:
     struct Stream
@@ -126,8 +126,8 @@ class StreamQueueSet
         /// Flat ring, not std::deque: reset() keeps its storage, so
         /// steady-state stream turnover allocates nothing.
         RingQueue<Addr> pending;
-        RefillFn refill;
-        /** Persistent cursor passed to `refill` (see RefillFn). */
+        bool refills = false; ///< draws on the set's refill source
+        /** Persistent cursor passed to the source (see RefillFn). */
         std::uint64_t refillState = 0;
         std::uint64_t lru = 0;
         int inFlight = 0;
@@ -146,7 +146,7 @@ class StreamQueueSet
             confirmed = false;
             exhausted = false;
             pending.clear();
-            refill = nullptr;
+            refills = false;
             refillState = 0;
             lru = 0;
             inFlight = 0;
@@ -168,6 +168,7 @@ class StreamQueueSet
     void maybeRefill(Stream &s);
 
     StreamParams params_;
+    RefillFn refill_;
     int globalInFlight_ = 0;
     std::vector<Stream> streams_;
     std::uint64_t clock_ = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/state_codec.hh"
 #include "common/stats.hh"
 #include "core/agt.hh"
 #include "core/pst.hh"
@@ -16,6 +17,7 @@
 #include "core/stems.hh"
 #include "core/stream.hh"
 #include "sim/prefetch_sim.hh"
+#include "test_util.hh"
 
 namespace stems {
 namespace {
@@ -30,8 +32,9 @@ TEST(Pst, TrainLookupRoundTrip)
     pst.train(7, seq, mask);
     pst.train(7, seq, mask); // counters reach the threshold
 
-    std::vector<SpatialElement> out;
-    ASSERT_TRUE(pst.lookup(7, out));
+    auto found = pst.lookup(7);
+    ASSERT_TRUE(found.has_value());
+    const SpatialSpan &out = *found;
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].offset, 4);
     EXPECT_EQ(out[0].delta, 0);
@@ -44,9 +47,9 @@ TEST(Pst, SingleTrainingBelowThreshold)
 {
     PatternSequenceTable pst;
     pst.train(7, {{4, 0}}, 1u << 4);
-    std::vector<SpatialElement> out;
-    EXPECT_TRUE(pst.lookup(7, out)); // entry exists...
-    EXPECT_TRUE(out.empty());        // ...but nothing predicts yet
+    auto out = pst.lookup(7);
+    ASSERT_TRUE(out.has_value()); // entry exists...
+    EXPECT_TRUE(out->empty());    // ...but nothing predicts yet
     EXPECT_EQ(pst.predictedMask(7), 0u);
 }
 
@@ -66,8 +69,7 @@ TEST(Pst, CountersDecayForAbsentOffsets)
 TEST(Pst, UnknownIndexFails)
 {
     PatternSequenceTable pst;
-    std::vector<SpatialElement> out;
-    EXPECT_FALSE(pst.lookup(99, out));
+    EXPECT_FALSE(pst.lookup(99).has_value());
     EXPECT_EQ(pst.predictedMask(99), 0u);
 }
 
@@ -123,6 +125,72 @@ TEST(Rmob, DeltaClamps)
     RegionMissOrderBuffer rmob(4);
     auto p = rmob.append(0x1000, 1, 10000);
     EXPECT_EQ(rmob.at(p)->delta, 255);
+}
+
+/** Saved state of a 3-entry RMOB (positions 0..2, frontier 3) and
+ *  the byte offset of its address index: tag, capacity, frontier,
+ *  then 13 bytes per live entry. */
+struct RmobBlob
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t indexOffset;
+};
+
+RmobBlob
+threeEntryRmobBlob()
+{
+    RegionMissOrderBuffer rmob(8);
+    rmob.append(0x1000, 1, 0);
+    rmob.append(0x2000, 2, 0);
+    rmob.append(0x3000, 3, 0);
+    StateWriter w;
+    rmob.saveState(w);
+    return {w.take(), 4 + 8 + 8 + 3 * 13};
+}
+
+/** Whether an RMOB of the blob's capacity decodes these bytes. */
+bool
+rmobLoads(const std::vector<std::uint8_t> &bytes)
+{
+    RegionMissOrderBuffer rmob(8);
+    StateReader r(bytes.data(), bytes.size());
+    rmob.loadState(r);
+    return r.atEnd();
+}
+
+TEST(Rmob, SplicedOriginalIndexIsTheSavedBlob)
+{
+    // Anchors the splice offset: re-writing the saved index
+    // verbatim reproduces the blob, which decodes.
+    RmobBlob b = threeEntryRmobBlob();
+    auto same = test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x2000, 1}, {0x3000, 2}});
+    EXPECT_EQ(same, b.bytes);
+    EXPECT_TRUE(rmobLoads(same));
+}
+
+TEST(Rmob, LoadRejectsUnalignedIndexKey)
+{
+    RmobBlob b = threeEntryRmobBlob();
+    EXPECT_FALSE(rmobLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x2008, 1}, {0x3000, 2}})));
+    // The flat index's empty-slot sentinel is one such key.
+    EXPECT_FALSE(rmobLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {~Addr{0}, 1}})));
+}
+
+TEST(Rmob, LoadRejectsDuplicateIndexKey)
+{
+    RmobBlob b = threeEntryRmobBlob();
+    EXPECT_FALSE(rmobLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x1000, 1}, {0x3000, 2}})));
+}
+
+TEST(Rmob, LoadRejectsIndexPositionAtOrPastFrontier)
+{
+    RmobBlob b = threeEntryRmobBlob();
+    EXPECT_FALSE(rmobLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x2000, 3}})));
 }
 
 // ---- AGT ----
@@ -295,6 +363,62 @@ TEST(Reconstruction, WindowEndsAtBufferSlots)
               0x100000 + Addr(64) * kRegionBytes);
 }
 
+/** A reconstructor blob: its displacement buckets as given, then
+ *  the dropped and window counters. */
+std::vector<std::uint8_t>
+reconBlob(const std::vector<std::pair<std::int64_t, std::uint64_t>>
+              &buckets)
+{
+    StateWriter w;
+    w.tag(stateTag('R', 'C', 'O', 'N'));
+    w.u64(buckets.size());
+    for (const auto &kv : buckets) {
+        w.i64(kv.first);
+        w.u64(kv.second);
+    }
+    w.u64(1); // dropped
+    w.u64(9); // windows
+    return w.take();
+}
+
+TEST(Reconstruction, DisplacementCountsRoundTripAsHistogram)
+{
+    RegionMissOrderBuffer rmob(16);
+    PatternSequenceTable pst;
+    Reconstructor recon(rmob, pst); // displacement window 2
+    auto blob = reconBlob({{-2, 1}, {0, 40}, {1, 3}});
+    StateReader r(blob.data(), blob.size());
+    recon.loadState(r);
+    ASSERT_TRUE(r.atEnd());
+    Histogram h = recon.displacements();
+    EXPECT_EQ(h.total(), 44u);
+    EXPECT_EQ(h.count(-2), 1u);
+    EXPECT_EQ(h.count(0), 40u);
+    EXPECT_EQ(h.count(1), 3u);
+    EXPECT_EQ(h.buckets().size(), 3u);
+    StateWriter w;
+    recon.saveState(w);
+    EXPECT_EQ(w.bytes(), blob);
+}
+
+TEST(Reconstruction, LoadRejectsImpossibleDisplacementBuckets)
+{
+    auto loads = [](const std::vector<std::uint8_t> &blob) {
+        RegionMissOrderBuffer rmob(16);
+        PatternSequenceTable pst;
+        Reconstructor recon(rmob, pst); // displacement window 2
+        StateReader r(blob.data(), blob.size());
+        recon.loadState(r);
+        return r.atEnd();
+    };
+    EXPECT_TRUE(loads(reconBlob({{-1, 2}, {0, 5}})));
+    EXPECT_FALSE(loads(reconBlob({{0, 5}, {3, 1}})));  // past +window
+    EXPECT_FALSE(loads(reconBlob({{-3, 1}, {0, 5}}))); // past -window
+    EXPECT_FALSE(loads(reconBlob({{0, 0}})));           // zero count
+    EXPECT_FALSE(loads(reconBlob({{1, 2}, {0, 5}})));   // descending
+    EXPECT_FALSE(loads(reconBlob({{0, 2}, {0, 5}})));   // duplicate
+}
+
 // ---- Stream queues ----
 
 std::vector<PrefetchRequest>
@@ -308,7 +432,7 @@ drainStreams(StreamQueueSet &s)
 TEST(StreamQueues, ConfidenceRamp)
 {
     StreamQueueSet s;
-    int id = s.allocate({0x1000, 0x2000, 0x3000}, nullptr);
+    int id = s.allocate({0x1000, 0x2000, 0x3000});
     auto reqs = drainStreams(s);
     ASSERT_EQ(reqs.size(), 1u); // ramp: one block
     EXPECT_EQ(reqs[0].addr, 0x1000u);
@@ -324,7 +448,7 @@ TEST(StreamQueues, ConfirmedAllocationSkipsRamp)
     StreamParams p;
     p.lookahead = 4;
     StreamQueueSet s(p);
-    s.allocate({0x1000, 0x2000, 0x3000, 0x4000, 0x5000}, nullptr,
+    s.allocate({0x1000, 0x2000, 0x3000, 0x4000, 0x5000},
                /*confirmed=*/true);
     EXPECT_EQ(drainStreams(s).size(), 4u);
 }
@@ -332,7 +456,7 @@ TEST(StreamQueues, ConfirmedAllocationSkipsRamp)
 TEST(StreamQueues, ResyncSkipsAhead)
 {
     StreamQueueSet s;
-    int id = s.allocate({0x1000, 0x2000, 0x3000, 0x4000}, nullptr);
+    int id = s.allocate({0x1000, 0x2000, 0x3000, 0x4000});
     drainStreams(s); // 0x1000 issued
     // Demand missed 0x3000: within the resync window.
     EXPECT_TRUE(s.resync(0x3000));
@@ -348,9 +472,9 @@ TEST(StreamQueues, StaleIdIgnoredAfterReallocation)
     StreamParams p;
     p.numStreams = 1;
     StreamQueueSet s(p);
-    int id1 = s.allocate({0x1000, 0x2000}, nullptr);
+    int id1 = s.allocate({0x1000, 0x2000});
     drainStreams(s);
-    int id2 = s.allocate({0x9000, 0xA000}, nullptr);
+    int id2 = s.allocate({0x9000, 0xA000});
     EXPECT_NE(id1, id2);
     drainStreams(s);
     // A hit for the dead stream must not advance the new one.
@@ -366,7 +490,6 @@ TEST(StreamQueues, RefillExtendsStream)
     StreamParams p;
     p.lookahead = 2;
     p.refillLowWater = 2;
-    StreamQueueSet s(p);
     int calls = 0;
     auto refill = [&](RingQueue<Addr> &pending, std::uint64_t &) {
         if (calls++ < 3)
@@ -374,7 +497,9 @@ TEST(StreamQueues, RefillExtendsStream)
                 pending.push_back(0x100000 + Addr(calls) * 0x1000 +
                                   Addr(i) * 64);
     };
-    int id = s.allocate({0x1000}, refill);
+    StreamQueueSet s(p, refill);
+    int id = s.allocate({0x1000}, /*confirmed=*/false,
+                        /*refill_cursor=*/0);
     drainStreams(s);
     for (int i = 0; i < 12; ++i)
         s.onHit(id);

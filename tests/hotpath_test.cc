@@ -4,24 +4,33 @@
  * engine performance program: the structure-of-arrays LruTable is
  * pinned against the frozen array-of-structs reference
  * (tests/reference_lru_table.hh) under seeded random workloads, the
- * RingQueue against std::deque, and every refactored structure's
- * state codec round-trips. Behavioural equivalence to the historical
+ * flat AddrIndex against std::unordered_map, the per-entry cached
+ * PST predictions against the frozen sort-at-lookup PST
+ * (tests/reference_pst.hh), the RingQueue against std::deque, and
+ * every refactored structure's state codec round-trips. Behavioural equivalence to the historical
  * layouts is the contract that keeps sweep output bitwise identical.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
+#include "common/addr_index.hh"
 #include "common/arena.hh"
 #include "common/circular_buffer.hh"
+#include "common/function_ref.hh"
 #include "common/lru_table.hh"
 #include "common/state_codec.hh"
+#include "core/pst.hh"
 #include "core/stream.hh"
 #include "reference_lru_table.hh"
+#include "reference_pst.hh"
 
 using namespace stems;
 
@@ -210,6 +219,284 @@ TEST(HotpathLruTable, ForEachVisitsExactlyValidEntries)
     ASSERT_EQ(got, want);
 }
 
+// ---- AddrIndex vs std::unordered_map --------------------------
+
+using IndexPairs = std::vector<std::pair<Addr, AddrIndex::Position>>;
+
+/**
+ * Drive the flat index and a std::unordered_map with the same
+ * seeded find / find-or-insert-then-overwrite sequence (the TMS
+ * one-probe pattern) from the minimum size, so the run crosses
+ * several rehashes. Keys are block-aligned: `stride` apart from a
+ * random span, so both dense and page-strided (clustering) key sets
+ * are probed.
+ */
+void
+addrIndexEquivalenceRun(std::uint64_t seed, std::uint64_t key_span,
+                        Addr stride, std::size_t ops)
+{
+    std::mt19937_64 rng(seed);
+    AddrIndex index;
+    std::unordered_map<Addr, AddrIndex::Position> oracle;
+    std::size_t initial_capacity = index.capacity();
+    for (std::size_t i = 0; i < ops; ++i) {
+        Addr key = (rng() % key_span) * stride;
+        if (rng() % 3 == 0) {
+            const AddrIndex::Position *got = index.find(key);
+            auto it = oracle.find(key);
+            ASSERT_EQ(got != nullptr, it != oracle.end()) << "op " << i;
+            if (got) {
+                ASSERT_EQ(*got, it->second) << "op " << i;
+            }
+        } else {
+            AddrIndex::Position &slot = index.findOrInsert(key);
+            auto it = oracle.find(key);
+            ASSERT_EQ(slot, it == oracle.end() ? AddrIndex::kNoPosition
+                                               : it->second)
+                << "op " << i;
+            slot = i;
+            oracle[key] = i;
+        }
+        ASSERT_EQ(index.size(), oracle.size()) << "op " << i;
+        ASSERT_LE(index.size() * 4, index.capacity() * 3) << "op " << i;
+    }
+    EXPECT_GE(index.capacity(), initial_capacity * 16)
+        << "the run should cross several rehashes";
+
+    IndexPairs got, want(oracle.begin(), oracle.end());
+    index.forEach([&](Addr k, AddrIndex::Position p) {
+        got.emplace_back(k, p);
+    });
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want);
+}
+
+TEST(HotpathAddrIndex, MatchesUnorderedMapDenseKeys)
+{
+    addrIndexEquivalenceRun(1, 5000, kBlockBytes, 30000);
+}
+
+TEST(HotpathAddrIndex, MatchesUnorderedMapPageStridedKeys)
+{
+    addrIndexEquivalenceRun(2, 5000, 4096, 30000);
+}
+
+TEST(HotpathAddrIndex, MatchesUnorderedMapManySeeds)
+{
+    for (std::uint64_t seed = 10; seed < 20; ++seed)
+        addrIndexEquivalenceRun(seed, 300 + seed * 50,
+                                kBlockBytes << (seed % 8), 4000);
+}
+
+TEST(HotpathAddrIndex, StateRoundTripIsKeySortedAndExact)
+{
+    AddrIndex a;
+    std::mt19937_64 rng(5);
+    for (AddrIndex::Position pos = 0; pos < 3000; ++pos)
+        a.findOrInsert(blockAlign(rng())) = pos;
+
+    StateWriter w;
+    a.saveState(w);
+    StateReader keys(w.bytes().data(), w.bytes().size());
+    std::uint64_t n = keys.u64();
+    ASSERT_EQ(n, a.size());
+    Addr prev = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Addr k = keys.u64();
+        keys.u64();
+        ASSERT_TRUE(i == 0 || k > prev);
+        prev = k;
+    }
+
+    AddrIndex b(8); // a different slot layout, same logical contents
+    StateReader r(w.bytes().data(), w.bytes().size());
+    b.loadState(r, 3000);
+    ASSERT_TRUE(r.atEnd());
+    StateWriter wb;
+    b.saveState(wb);
+    ASSERT_EQ(w.bytes(), wb.bytes());
+}
+
+// ---- PST: cached predictions vs sort-at-lookup reference ------
+
+/** Whether the live table and the reference predict the same
+ *  elements, in the same order, for an index. */
+::testing::AssertionResult
+samePrediction(const PatternSequenceTable &pst, const ReferencePst &ref,
+               std::uint64_t index)
+{
+    auto live = pst.lookup(index);
+    std::vector<SpatialElement> want;
+    if (live.has_value() != ref.lookup(index, want))
+        return ::testing::AssertionFailure()
+               << "entry presence differs at index " << index;
+    if (!live)
+        return ::testing::AssertionSuccess();
+    if (live->size() != want.size())
+        return ::testing::AssertionFailure()
+               << live->size() << " vs " << want.size()
+               << " elements at index " << index;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        if ((*live)[i].offset != want[i].offset ||
+            (*live)[i].delta != want[i].delta)
+            return ::testing::AssertionFailure()
+                   << "element " << i << " differs at index " << index;
+    return ::testing::AssertionSuccess();
+}
+
+void
+expectSamePredictions(const PatternSequenceTable &pst,
+                      const ReferencePst &ref, std::uint64_t index_span,
+                      const char *where)
+{
+    for (std::uint64_t idx = 0; idx < index_span; ++idx)
+        ASSERT_TRUE(samePrediction(pst, ref, idx)) << where;
+}
+
+/**
+ * Train both tables with the same random generations — sequences
+ * that repeat offsets (so stored orders collide and the offset
+ * tie-break decides) over a small table (so entries are evicted and
+ * re-inserted) — and require identical predictions after every
+ * operation. Every `round_trip_every` operations the live table is
+ * replaced by one restored from its own blob, and the reference by
+ * one restored from the live blob, so predictions are also pinned
+ * across saveState/loadState.
+ */
+void
+pstEquivalenceRun(std::uint64_t seed, std::size_t ops,
+                  std::size_t round_trip_every)
+{
+    PstParams params;
+    params.entries = 64;
+    params.ways = 4;
+    const std::uint64_t index_span = 96;
+    std::mt19937_64 rng(seed);
+    auto pst = std::make_unique<PatternSequenceTable>(params);
+    auto ref = std::make_unique<ReferencePst>(params);
+    std::vector<SpatialElement> seq;
+    for (std::size_t i = 0; i < ops; ++i) {
+        std::uint64_t idx = rng() % index_span;
+        if (rng() % 4 != 0) {
+            // Offsets from a narrow pool repeat within a sequence.
+            unsigned pool = 1 + static_cast<unsigned>(rng() % 32);
+            seq.resize(rng() % 40);
+            for (SpatialElement &el : seq) {
+                el.offset = static_cast<std::uint8_t>(rng() % pool);
+                el.delta = static_cast<std::uint8_t>(rng() % 256);
+            }
+            auto mask = static_cast<std::uint32_t>(rng());
+            if (rng() % 2)
+                mask = 0;
+            pst->train(idx, seq.data(), seq.size(), mask);
+            ref->train(idx, seq.data(), seq.size(), mask);
+        }
+        ASSERT_TRUE(samePrediction(*pst, *ref, idx)) << "op " << i;
+
+        if ((i + 1) % round_trip_every == 0) {
+            StateWriter live, frozen;
+            pst->saveState(live);
+            ref->saveState(frozen);
+            ASSERT_EQ(live.bytes(), frozen.bytes()) << "op " << i;
+            auto pst2 = std::make_unique<PatternSequenceTable>(params);
+            auto ref2 = std::make_unique<ReferencePst>(params);
+            StateReader r1(live.bytes().data(), live.bytes().size());
+            pst2->loadState(r1);
+            StateReader r2(live.bytes().data(), live.bytes().size());
+            ref2->loadState(r2);
+            ASSERT_TRUE(r1.atEnd() && r2.atEnd());
+            expectSamePredictions(*pst2, *ref2, index_span,
+                                  "after round trip");
+            // Loading over a table whose cache is warm must not keep
+            // a stale list.
+            StateReader r3(live.bytes().data(), live.bytes().size());
+            pst->loadState(r3);
+            ASSERT_TRUE(r3.atEnd());
+            expectSamePredictions(*pst, *ref2, index_span,
+                                  "after reload");
+            pst = std::move(pst2);
+            ref = std::move(ref2);
+        }
+    }
+}
+
+TEST(HotpathPst, CachedPredictionsMatchSortAtLookupReference)
+{
+    pstEquivalenceRun(1, 20000, 1000000);
+}
+
+TEST(HotpathPst, CachedPredictionsMatchReferenceAcrossRoundTrips)
+{
+    for (std::uint64_t seed = 2; seed < 8; ++seed)
+        pstEquivalenceRun(seed, 3000, 250);
+}
+
+TEST(HotpathPst, ViewIsStableUntilTheNextTrain)
+{
+    PatternSequenceTable pst;
+    SpatialElement seq[2] = {{3, 0}, {1, 2}};
+    pst.train(7, seq, 2, 0);
+    pst.train(7, seq, 2, 0);
+    auto first = pst.lookup(7);
+    auto again = pst.lookup(7);
+    ASSERT_TRUE(first && again);
+    // Repeated lookups share one cached list.
+    EXPECT_EQ(first->begin(), again->begin());
+    ASSERT_EQ(first->size(), 2u);
+    EXPECT_EQ((*first)[0].offset, 3);
+    EXPECT_EQ((*first)[1].offset, 1);
+    // Training the entry rebuilds the list on the next lookup.
+    pst.train(7, seq, 1, 0);
+    pst.train(7, seq, 1, 0);
+    auto after = pst.lookup(7);
+    ASSERT_TRUE(after.has_value());
+    ASSERT_EQ(after->size(), 1u);
+    EXPECT_EQ((*after)[0].offset, 3);
+}
+
+// ---- FunctionRef ---------------------------------------------
+
+TEST(HotpathFunctionRef, CopyRefersToTheCallableNotTheSourceRef)
+{
+    int first = 0, second = 0;
+    auto add_first = [&](int x) { first += x; };
+    auto add_second = [&](int x) { second += x; };
+    FunctionRef<void(int)> a = add_first;
+    FunctionRef<void(int)> copy = a; // non-const lvalue source
+    a = add_second;
+    // A copy that wrapped `a` itself would now call add_second.
+    copy(1);
+    a(10);
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 10);
+
+    FunctionRef<void(int)> outlives;
+    {
+        FunctionRef<void(int)> scoped = add_first;
+        outlives = scoped;
+    }
+    outlives(2); // ASan reports a use-after-scope if it wrapped `scoped`
+    EXPECT_EQ(first, 3);
+}
+
+TEST(HotpathFunctionRef, BindCallsTheMemberAndNullIsFalse)
+{
+    struct Counter
+    {
+        int total = 0;
+        void add(int x) { total += x; }
+    };
+    Counter c;
+    auto f = FunctionRef<void(int)>::bind<&Counter::add>(&c);
+    f(4);
+    f(5);
+    EXPECT_EQ(c.total, 9);
+    EXPECT_TRUE(static_cast<bool>(f));
+    EXPECT_FALSE(static_cast<bool>(FunctionRef<void(int)>()));
+    EXPECT_FALSE(static_cast<bool>(FunctionRef<void(int)>(nullptr)));
+}
+
 // ---- RingQueue vs std::deque ----------------------------------
 
 TEST(HotpathRingQueue, MatchesDequeUnderRandomOps)
@@ -356,15 +643,16 @@ TEST(HotpathScratchPool, RecyclesCapacity)
 
 TEST(HotpathStreamQueues, StateRoundTripPreservesPending)
 {
-    StreamQueueSet a;
     std::uint64_t refills = 0;
     auto refill = [&](RingQueue<Addr> &pending, std::uint64_t &pos) {
         for (int i = 0; i < 4; ++i)
             pending.push_back(0x1000 * (++pos));
         ++refills;
     };
+    StreamQueueSet a({}, refill);
     std::vector<Addr> initial{0x40, 0x80, 0xC0, 0x100, 0x140};
-    int id = a.allocate(initial, refill, false, 1);
+    int id = a.allocate(initial, /*confirmed=*/false,
+                        /*refill_cursor=*/1);
     for (int i = 0; i < 3; ++i)
         a.onHit(id);
     std::vector<PrefetchRequest> reqs;
@@ -373,9 +661,9 @@ TEST(HotpathStreamQueues, StateRoundTripPreservesPending)
     StateWriter w;
     a.saveState(w);
 
-    StreamQueueSet b;
+    StreamQueueSet b({}, refill);
     StateReader r(w.bytes().data(), w.bytes().size());
-    b.loadState(r, refill);
+    b.loadState(r);
     ASSERT_TRUE(r.ok());
 
     // Identical continuations must emit identical request streams.

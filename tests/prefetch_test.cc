@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state_codec.hh"
 #include "common/stats.hh"
 #include "prefetch/hybrid.hh"
 #include "prefetch/sms.hh"
 #include "prefetch/stride.hh"
 #include "prefetch/tms.hh"
 #include "sim/prefetch_sim.hh"
+#include "test_util.hh"
 
 namespace stems {
 namespace {
@@ -317,6 +319,76 @@ TEST(Tms, ConfidenceRampIssuesOneBlockFirst)
     tms.onPrefetchHit(a + step, stream_id);
     tms.drainRequests(out);
     EXPECT_GE(out.size(), 2u);
+}
+
+/** TMS with a 3-miss history (positions 0..2, frontier 3), saved.
+ *  Its address index follows the tag, three counters and the
+ *  buffer (capacity, frontier, 8 bytes per live entry). */
+struct TmsBlob
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t indexOffset;
+};
+
+TmsParams
+smallTms()
+{
+    TmsParams p;
+    p.bufferEntries = 8;
+    return p;
+}
+
+TmsBlob
+threeMissTmsBlob()
+{
+    TmsPrefetcher tms(smallTms());
+    for (int i = 0; i < 3; ++i)
+        tms.onOffChipRead({0x1000 * Addr(i + 1), 0x1,
+                           std::uint64_t(i), false, -1});
+    StateWriter w;
+    tms.saveState(w);
+    return {w.take(), 4 + 3 * 8 + 8 + 8 + 3 * 8};
+}
+
+bool
+tmsLoads(const std::vector<std::uint8_t> &bytes)
+{
+    TmsPrefetcher tms(smallTms());
+    StateReader r(bytes.data(), bytes.size());
+    tms.loadState(r);
+    return r.atEnd();
+}
+
+TEST(Tms, SplicedOriginalIndexIsTheSavedBlob)
+{
+    TmsBlob b = threeMissTmsBlob();
+    auto same = test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x2000, 1}, {0x3000, 2}});
+    EXPECT_EQ(same, b.bytes);
+    EXPECT_TRUE(tmsLoads(same));
+}
+
+TEST(Tms, LoadRejectsUnalignedIndexKey)
+{
+    TmsBlob b = threeMissTmsBlob();
+    EXPECT_FALSE(tmsLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x2008, 1}, {0x3000, 2}})));
+    EXPECT_FALSE(tmsLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {~Addr{0}, 1}})));
+}
+
+TEST(Tms, LoadRejectsDuplicateIndexKey)
+{
+    TmsBlob b = threeMissTmsBlob();
+    EXPECT_FALSE(tmsLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x1000, 1}, {0x3000, 2}})));
+}
+
+TEST(Tms, LoadRejectsIndexPositionAtOrPastFrontier)
+{
+    TmsBlob b = threeMissTmsBlob();
+    EXPECT_FALSE(tmsLoads(test::spliceAddrIndex(
+        b.bytes, b.indexOffset, {{0x1000, 0}, {0x2000, 3}})));
 }
 
 // ---- hybrid ----

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 
+#include "common/state_codec.hh"
+
 namespace stems {
 namespace test {
 
@@ -131,6 +133,25 @@ expectSameResults(const std::vector<WorkloadResult> &a,
             expectSameStats(ea.stats, eb.stats);
         }
     }
+}
+
+std::vector<std::uint8_t>
+spliceAddrIndex(const std::vector<std::uint8_t> &blob, std::size_t offset,
+                const std::vector<std::pair<std::uint64_t,
+                                            std::uint64_t>> &entries)
+{
+    StateReader r(blob.data() + offset, blob.size() - offset);
+    std::size_t tail = offset + 8 + r.u64() * 16;
+    StateWriter w;
+    w.u64(entries.size());
+    for (const auto &kv : entries) {
+        w.u64(kv.first);
+        w.u64(kv.second);
+    }
+    std::vector<std::uint8_t> out(blob.begin(), blob.begin() + offset);
+    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+    out.insert(out.end(), blob.begin() + tail, blob.end());
+    return out;
 }
 
 } // namespace test

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
@@ -71,6 +73,18 @@ void expectSameStats(const SimStats &a, const SimStats &b);
  *  normalized metrics and raw stats, all bitwise. */
 void expectSameResults(const std::vector<WorkloadResult> &a,
                        const std::vector<WorkloadResult> &b);
+
+/**
+ * A copy of a checkpoint blob whose serialized address index
+ * (common/addr_index.hh: a u64 count, then u64 key / u64 position
+ * pairs), starting at byte `offset`, is replaced by `entries`,
+ * written verbatim. Tests build structurally valid blobs with one
+ * semantic defect this way.
+ */
+std::vector<std::uint8_t>
+spliceAddrIndex(const std::vector<std::uint8_t> &blob, std::size_t offset,
+                const std::vector<std::pair<std::uint64_t,
+                                            std::uint64_t>> &entries);
 
 } // namespace test
 } // namespace stems
