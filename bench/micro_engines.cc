@@ -36,7 +36,6 @@
 #include "core/stems.hh"
 #include "mem/svb.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_source.hh"
 #include "workloads/registry.hh"
 
 using namespace stems;
@@ -137,14 +136,12 @@ main(int argc, char **argv)
 
     std::vector<MemRecord> events;
     {
-        auto src = MmapTraceSource::open(trc);
-        if (!src) {
-            std::fprintf(stderr, "cannot replay %s\n", trc.c_str());
+        Trace stored;
+        if (!readTraceFile(trc, stored)) {
+            std::fprintf(stderr, "cannot read %s\n", trc.c_str());
             return 1;
         }
-        events.reserve(src->size());
-        MemRecord rec;
-        while (src->next(rec))
+        for (const MemRecord &rec : stored)
             if (rec.kind == AccessKind::kRead)
                 events.push_back(rec);
     }
@@ -280,8 +277,9 @@ main(int argc, char **argv)
             if ((i & 0xFF) == 0) {
                 for (std::size_t k = 0; k < initial.size(); ++k)
                     initial[k] = events[(i + k) % n].vaddr;
-                id = queues.allocate(initial, /*confirmed=*/false,
-                                     cursor);
+                id = queues.allocate(initial.data(),
+                                     initial.data() + initial.size(),
+                                     /*confirmed=*/false, cursor);
             }
             queues.onHit(id);
             if ((i & 0x1F) == 0) {

@@ -16,17 +16,14 @@
  *    and keeps the elements on the same cache lines as the rest of
  *    the entry.
  *
- *  - ScratchPool<T>: recycles std::vector<T> buffers between uses.
- *    Call sites that genuinely need unbounded scratch (stream-start
- *    address lists, reconstruction backbones) borrow a vector, fill
- *    it, and return it; after warm-up the pool reaches a steady state
- *    where no use allocates.
+ *  - Span<T>: a non-owning view of a contiguous run of T. A producer
+ *    that keeps its output in member scratch (the PST's cached
+ *    predictions, a reconstruction window) hands out a span instead
+ *    of copying into a fresh vector.
  *
  * Lifetime rules: InlineVec owns its elements like any value type.
- * A ScratchPool::Handle must not outlive its pool, and the borrowed
- * vector is cleared on release but keeps its capacity — that retained
- * capacity IS the optimization, so pools should be long-lived members
- * of the engine that uses them.
+ * A Span owns nothing: its producer documents how long the viewed
+ * storage stays valid (typically until the producer's next call).
  */
 
 #ifndef STEMS_COMMON_ARENA_HH
@@ -35,7 +32,6 @@
 #include <cassert>
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 namespace stems {
 
@@ -117,74 +113,27 @@ class InlineVec
     std::size_t size_ = 0;
 };
 
-/**
- * Free-list of recycled std::vector<T> scratch buffers.
- *
- * acquire() returns a RAII handle over an empty vector (possibly with
- * retained capacity from an earlier use); the vector returns to the
- * free list when the handle dies.
- */
+/** Non-owning view of `count` contiguous elements at `first`. */
 template <typename T>
-class ScratchPool
+struct Span
 {
-  public:
-    /** Borrowed vector; returns to the pool on destruction. */
-    class Handle
+    const T *first = nullptr;
+    std::size_t count = 0;
+
+    const T *begin() const { return first; }
+    const T *end() const { return first + count; }
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    const T &operator[](std::size_t i) const
     {
-      public:
-        Handle(ScratchPool &pool, std::vector<T> &&buf)
-            : pool_(&pool), buf_(std::move(buf))
-        {
-        }
-        Handle(Handle &&other) noexcept
-            : pool_(other.pool_), buf_(std::move(other.buf_))
-        {
-            other.pool_ = nullptr;
-        }
-        Handle(const Handle &) = delete;
-        Handle &operator=(const Handle &) = delete;
-        Handle &operator=(Handle &&) = delete;
-
-        ~Handle()
-        {
-            if (pool_)
-                pool_->release(std::move(buf_));
-        }
-
-        std::vector<T> &operator*() { return buf_; }
-        std::vector<T> *operator->() { return &buf_; }
-        std::vector<T> &get() { return buf_; }
-
-      private:
-        ScratchPool *pool_;
-        std::vector<T> buf_;
-    };
-
-    /** Borrow an empty vector (capacity retained from past uses). */
-    Handle
-    acquire()
-    {
-        if (free_.empty())
-            return Handle(*this, std::vector<T>());
-        std::vector<T> buf = std::move(free_.back());
-        free_.pop_back();
-        return Handle(*this, std::move(buf));
+        assert(i < count);
+        return first[i];
     }
-
-    /** Buffers currently resting in the pool (diagnostics/tests). */
-    std::size_t idle() const { return free_.size(); }
-
-  private:
-    friend class Handle;
-
-    void
-    release(std::vector<T> &&buf)
+    const T &front() const
     {
-        buf.clear();
-        free_.push_back(std::move(buf));
+        assert(count > 0);
+        return first[0];
     }
-
-    std::vector<std::vector<T>> free_;
 };
 
 } // namespace stems

@@ -19,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/lru_table.hh"
 #include "common/types.hh"
 
@@ -53,20 +54,7 @@ struct SpatialElement
 };
 
 /** Non-owning view of a run of spatial elements. */
-struct SpatialSpan
-{
-    const SpatialElement *first = nullptr;
-    std::size_t count = 0;
-
-    const SpatialElement *begin() const { return first; }
-    const SpatialElement *end() const { return first + count; }
-    std::size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    const SpatialElement &operator[](std::size_t i) const
-    {
-        return first[i];
-    }
-};
+using SpatialSpan = Span<SpatialElement>;
 
 /** PST configuration (paper defaults). */
 struct PstParams

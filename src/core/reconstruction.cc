@@ -148,10 +148,13 @@ Reconstructor::reconstruct(RegionMissOrderBuffer::Position start_pos,
     for (const Placed &p : backbone)
         expandSpatial(slots, p.slot, p.entry, note_region);
 
-    w.sequence.reserve(params_.bufferSlots / 4);
-    for (Addr a : slots)
-        if (a != 0)
-            w.sequence.push_back(a);
+    // Compact the occupied slots, in order, to the buffer's front;
+    // the window views that prefix.
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        if (slots[i] != 0)
+            slots[live++] = slots[i];
+    w.sequence = {slots.data(), live};
     return w;
 }
 

@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/function_ref.hh"
 #include "common/stats.hh"
 #include "core/pst.hh"
@@ -59,8 +60,10 @@ class Reconstructor
     /** Result of reconstructing one window. */
     struct Window
     {
-        /** Predicted miss order (slot 0 = the initiating miss). */
-        std::vector<Addr> sequence;
+        /** Predicted miss order (slot 0 = the initiating miss): a
+         *  view of the reconstructor's buffer, valid until its next
+         *  reconstruct(). */
+        Span<Addr> sequence;
         /** RMOB position to resume from for the next window. */
         RegionMissOrderBuffer::Position nextPos = 0;
         /** True when the RMOB had an entry at the start position. */
@@ -128,7 +131,8 @@ class Reconstructor
     std::uint64_t windows_ = 0;
     /// Per-call scratch held as members so repeated reconstructions
     /// reuse capacity instead of reallocating (reconstruct() is on
-    /// the per-miss hot path). Contents are dead between calls.
+    /// the per-miss hot path). Between calls only the last window's
+    /// compacted prefix of slotScratch_ is live (Window::sequence).
     std::vector<Addr> slotScratch_;
     std::vector<Placed> backboneScratch_;
 };

@@ -83,10 +83,10 @@ StemsPrefetcher::startTemporalStream(
         return; // nothing predicted beyond the initiating miss
 
     // Slot 0 is the current demand miss itself; stream what follows.
-    auto initial = addrPool_.acquire();
-    initial->assign(w.sequence.begin() + 1, w.sequence.end());
-
-    streams_.allocate(*initial, /*confirmed=*/false,
+    // allocate() copies the window into the queue before the
+    // stream's first refill can reconstruct over it.
+    streams_.allocate(w.sequence.begin() + 1, w.sequence.end(),
+                      /*confirmed=*/false,
                       /*refill_cursor=*/w.nextPos);
 }
 
@@ -111,21 +111,22 @@ StemsPrefetcher::maybeStartSpatialOnlyStream(
     if (!sequence || sequence->empty())
         return;
 
-    auto addrs = addrPool_.acquire();
-    addrs->reserve(sequence->size());
+    std::vector<Addr> &addrs = spatialScratch_;
+    addrs.clear();
     for (const SpatialElement &el : *sequence) {
         if (el.offset == gen.triggerOffset)
             continue;
-        addrs->push_back(
+        addrs.push_back(
             addrFromRegionOffset(gen.regionBase, el.offset));
     }
-    if (addrs->empty())
+    if (addrs.empty())
         return;
 
     ++spatialOnlyStreams_;
     // Spatial-only streams trust the pattern immediately (the delta
     // information is ignored, Section 4.2).
-    streams_.allocate(*addrs, /*confirmed=*/true);
+    streams_.allocate(addrs.data(), addrs.data() + addrs.size(),
+                      /*confirmed=*/true);
 }
 
 void

@@ -24,7 +24,6 @@
 
 #include <memory>
 
-#include "common/arena.hh"
 #include "common/lru_table.hh"
 #include "core/agt.hh"
 #include "core/pst.hh"
@@ -125,11 +124,10 @@ class StemsPrefetcher : public Prefetcher
     std::uint64_t lastAppendSeq_ = 0;
     std::uint64_t filtered_ = 0;
     std::uint64_t spatialOnlyStreams_ = 0;
-    /** Recycled scratch for stream-start address lists (a temporal
-     *  or spatial-only stream start builds one, hands it to
-     *  StreamQueueSet::allocate by const reference, and returns the
-     *  buffer). Steady state: no stream start allocates. */
-    ScratchPool<Addr> addrPool_;
+    /** Address list of a spatial-only stream start, kept as a member
+     *  so its capacity is reused (StreamQueueSet::allocate copies
+     *  it). Temporal starts hand over the reconstruction window. */
+    std::vector<Addr> spatialScratch_;
 };
 
 } // namespace stems

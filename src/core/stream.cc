@@ -60,7 +60,7 @@ StreamQueueSet::decodeId(int stream_id, std::size_t *index_out)
 }
 
 int
-StreamQueueSet::allocate(const std::vector<Addr> &initial,
+StreamQueueSet::allocate(const Addr *first, const Addr *last,
                          bool confirmed,
                          std::optional<std::uint64_t> refill_cursor)
 {
@@ -83,7 +83,7 @@ StreamQueueSet::allocate(const std::vector<Addr> &initial,
     ++s.generation;
     s.active = true;
     s.confirmed = confirmed;
-    s.pending.assign(initial.begin(), initial.end());
+    s.pending.assign(first, last);
     s.refills = refill_cursor.has_value();
     s.refillState = refill_cursor.value_or(0);
     s.lru = ++clock_;

@@ -72,7 +72,10 @@ class StreamQueueSet
     /**
      * Allocate a stream (victimizing an idle or the LRU queue).
      *
-     * @param initial        predicted addresses, in order.
+     * @param first, last    predicted addresses, in order; copied
+     *                       into the queue before anything else
+     *                       runs (issuing the first prefetch may
+     *                       refill).
      * @param confirmed      start past the confidence ramp
      *                       (spatial-only streams trust the pattern
      *                       immediately).
@@ -81,7 +84,7 @@ class StreamQueueSet
      *                       cursor; absent: a finite stream.
      * @return the stream id.
      */
-    int allocate(const std::vector<Addr> &initial,
+    int allocate(const Addr *first, const Addr *last,
                  bool confirmed = false,
                  std::optional<std::uint64_t> refill_cursor =
                      std::nullopt);

@@ -162,26 +162,4 @@ BatchSimulator::run(const Trace &trace)
     finishAll(trace.size());
 }
 
-void
-BatchSimulator::run(TraceSource &source)
-{
-    if (lanes_.empty())
-        return;
-    source.reset();
-    std::vector<MemRecord> chunk(kChunkRecords);
-    std::size_t first = 0;
-    for (;;) {
-        std::size_t count = 0;
-        while (count < kChunkRecords && source.next(chunk[count]))
-            ++count;
-        if (count == 0)
-            break;
-        runChunk(chunk.data(), first, count);
-        first += count;
-        if (count < kChunkRecords)
-            break;
-    }
-    finishAll(first);
-}
-
 } // namespace stems

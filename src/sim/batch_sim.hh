@@ -18,8 +18,7 @@
  * Records are stepped record-major: the front-end steps a record,
  * then every lane steps it, so each lane's prefetch filter reads the
  * shared L2 exactly as it stands after the current record. The trace
- * is fetched (or decoded, for a TraceSource replay) once per record,
- * in chunks.
+ * is read once per record, in chunks.
  *
  * The ExperimentDriver uses this to run a workload's baseline, stride
  * and engine cells in one traversal (see SweepPlan::batch).
@@ -38,7 +37,7 @@
 namespace stems {
 
 /**
- * Advances several PrefetchSimulators from a single decode and a
+ * Advances several PrefetchSimulators from a single read and a
  * single hierarchy step of each trace record.
  */
 class BatchSimulator
@@ -84,13 +83,6 @@ class BatchSimulator
      * BatchSimulator.
      */
     void run(const Trace &trace);
-
-    /**
-     * One pass over a TraceSource (the source is reset first): each
-     * record is decoded exactly once. Record-for-record equivalent
-     * to run(const Trace &) over the materialized trace.
-     */
-    void run(TraceSource &source);
 
     /** Statistics of one lane's measured window (valid after run). */
     const SimStats &stats(std::size_t lane) const
@@ -145,8 +137,7 @@ class BatchSimulator
         std::size_t warmup = 0;
     };
 
-    /// Records per trace chunk: the decode buffer of a TraceSource
-    /// replay, and the unit of the `batch.chunk` span.
+    /// Records per trace chunk: the unit of the `batch.chunk` span.
     static constexpr std::size_t kChunkRecords = 65536;
 
     /** Step records at trace positions [first, first+count). */

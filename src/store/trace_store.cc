@@ -392,20 +392,14 @@ TraceStore::findTrace(const TraceKey &key)
     return info;
 }
 
-std::unique_ptr<TraceSource>
-TraceStore::openTrace(const TraceKey &key)
+bool
+TraceStore::loadTrace(const TraceKey &key, Trace &out)
 {
     ScopedSpan span("store.trace.get", "store");
     if (span.active())
         span.arg("workload", key.workload);
-    if (!usable_) {
-        ++traceMisses_;
-        storeMetrics().traceMiss.add();
-        return nullptr;
-    }
     std::string path = tracePath(key, /*meta=*/false);
-    auto src = MmapTraceSource::open(path);
-    if (!src) {
+    if (!usable_ || !readTraceFile(path, out)) {
         ++traceMisses_;
         storeMetrics().traceMiss.add();
         if (findTrace(key)) {
@@ -413,26 +407,11 @@ TraceStore::openTrace(const TraceKey &key)
             // drop it so the caller's regeneration can replace it.
             dropTraceEntry(key);
         }
-        return nullptr;
+        return false;
     }
     ++traceHits_;
     storeMetrics().traceHit.add();
     touch(path);
-    return src;
-}
-
-bool
-TraceStore::loadTrace(const TraceKey &key, Trace &out)
-{
-    auto src = openTrace(key);
-    if (!src)
-        return false;
-    src->readAll(out);
-    if (out.size() != src->size()) {
-        // Payload decoded short despite the CRC: treat as corrupt.
-        dropTraceEntry(key);
-        return false;
-    }
     return true;
 }
 

@@ -58,7 +58,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -66,7 +65,6 @@
 
 #include "sim/prefetch_sim.hh"
 #include "trace/trace.hh"
-#include "trace/trace_source.hh"
 
 namespace stems {
 
@@ -195,17 +193,12 @@ class TraceStore
     std::optional<TraceEntryInfo> findTrace(const TraceKey &key);
 
     /**
-     * Load a stored trace into memory. Decodes through the mmap
-     * replay source. @return false on miss or a corrupt entry (a
-     * corrupt entry is deleted so it can be regenerated).
+     * Load a stored trace into memory through readTraceFile, which
+     * checks its header, length and CRC. @return false on miss or a
+     * corrupt entry (a corrupt entry is deleted so it can be
+     * regenerated).
      */
     bool loadTrace(const TraceKey &key, Trace &out);
-
-    /**
-     * Open a stored trace for zero-copy streaming replay without
-     * materializing the record vector. @return null on miss/corrupt.
-     */
-    std::unique_ptr<TraceSource> openTrace(const TraceKey &key);
 
     /**
      * Persist a trace under a key. Atomic; overwrites any existing

@@ -1,8 +1,7 @@
 /**
  * @file
- * The compact v2 trace record codec shared by the file reader/writer
- * (trace/trace_io.cc) and the zero-copy mmap replay source
- * (trace/trace_source.cc).
+ * The compact v2 trace record codec of the file reader/writer
+ * (trace/trace_io.cc).
  *
  * v2 file layout (little-endian):
  *

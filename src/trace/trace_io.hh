@@ -8,8 +8,7 @@
  *    over the record bytes. Simple and seekable.
  *  - v2: delta/varint compressed records with the CRC in the header
  *    (see trace/trace_codec.hh). 3-6x smaller than v1 on the paper
- *    workloads and replayable zero-copy via MmapTraceSource. The
- *    TraceStore persists traces in this encoding.
+ *    workloads. The TraceStore persists traces in this encoding.
  *
  * Both are integrity-checked: readTraceFile rejects truncated files,
  * trailing garbage, and payload corruption, and never returns a

@@ -301,7 +301,8 @@ TEST(Reconstruction, Figure5Example)
         addrFromRegionOffset(region_d, 2), // D+1
         addrFromRegionOffset(region_d, 3), // D+2
     };
-    EXPECT_EQ(w.sequence, expect);
+    EXPECT_EQ(std::vector<Addr>(w.sequence.begin(), w.sequence.end()),
+              expect);
     // Everything fit in its original slot.
     EXPECT_EQ(recon.displacements().count(0),
               recon.displacements().total());
@@ -421,6 +422,15 @@ TEST(Reconstruction, LoadRejectsImpossibleDisplacementBuckets)
 
 // ---- Stream queues ----
 
+int
+allocateList(StreamQueueSet &s, const std::vector<Addr> &initial,
+             bool confirmed = false,
+             std::optional<std::uint64_t> refill_cursor = std::nullopt)
+{
+    return s.allocate(initial.data(), initial.data() + initial.size(),
+                      confirmed, refill_cursor);
+}
+
 std::vector<PrefetchRequest>
 drainStreams(StreamQueueSet &s)
 {
@@ -432,7 +442,7 @@ drainStreams(StreamQueueSet &s)
 TEST(StreamQueues, ConfidenceRamp)
 {
     StreamQueueSet s;
-    int id = s.allocate({0x1000, 0x2000, 0x3000});
+    int id = allocateList(s, {0x1000, 0x2000, 0x3000});
     auto reqs = drainStreams(s);
     ASSERT_EQ(reqs.size(), 1u); // ramp: one block
     EXPECT_EQ(reqs[0].addr, 0x1000u);
@@ -448,15 +458,15 @@ TEST(StreamQueues, ConfirmedAllocationSkipsRamp)
     StreamParams p;
     p.lookahead = 4;
     StreamQueueSet s(p);
-    s.allocate({0x1000, 0x2000, 0x3000, 0x4000, 0x5000},
-               /*confirmed=*/true);
+    allocateList(s, {0x1000, 0x2000, 0x3000, 0x4000, 0x5000},
+                 /*confirmed=*/true);
     EXPECT_EQ(drainStreams(s).size(), 4u);
 }
 
 TEST(StreamQueues, ResyncSkipsAhead)
 {
     StreamQueueSet s;
-    int id = s.allocate({0x1000, 0x2000, 0x3000, 0x4000});
+    int id = allocateList(s, {0x1000, 0x2000, 0x3000, 0x4000});
     drainStreams(s); // 0x1000 issued
     // Demand missed 0x3000: within the resync window.
     EXPECT_TRUE(s.resync(0x3000));
@@ -472,9 +482,9 @@ TEST(StreamQueues, StaleIdIgnoredAfterReallocation)
     StreamParams p;
     p.numStreams = 1;
     StreamQueueSet s(p);
-    int id1 = s.allocate({0x1000, 0x2000});
+    int id1 = allocateList(s, {0x1000, 0x2000});
     drainStreams(s);
-    int id2 = s.allocate({0x9000, 0xA000});
+    int id2 = allocateList(s, {0x9000, 0xA000});
     EXPECT_NE(id1, id2);
     drainStreams(s);
     // A hit for the dead stream must not advance the new one.
@@ -483,6 +493,29 @@ TEST(StreamQueues, StaleIdIgnoredAfterReallocation)
     // The live stream still works.
     s.onHit(id2);
     EXPECT_FALSE(drainStreams(s).empty());
+}
+
+TEST(StreamQueues, AllocateCopiesBeforeFirstRefill)
+{
+    // A temporal stream start hands allocate() a view of the
+    // reconstructor's buffer, which the stream's first refill
+    // reconstructs over: the queue must own a copy by then.
+    std::vector<Addr> window = {0x1000, 0x2000};
+    StreamParams p;
+    p.refillLowWater = 4; // refills before the first prefetch
+    int refills = 0;
+    auto refill = [&](RingQueue<Addr> &, std::uint64_t &) {
+        ++refills;
+        window.assign({0xdead000, 0xbeef000}); // same storage
+    };
+    StreamQueueSet s(p, refill);
+    s.allocate(window.data(), window.data() + window.size(),
+               /*confirmed=*/true, /*refill_cursor=*/0);
+    auto reqs = drainStreams(s);
+    EXPECT_GE(refills, 1);
+    ASSERT_EQ(reqs.size(), 2u);
+    EXPECT_EQ(reqs[0].addr, 0x1000u);
+    EXPECT_EQ(reqs[1].addr, 0x2000u);
 }
 
 TEST(StreamQueues, RefillExtendsStream)
@@ -498,8 +531,8 @@ TEST(StreamQueues, RefillExtendsStream)
                                   Addr(i) * 64);
     };
     StreamQueueSet s(p, refill);
-    int id = s.allocate({0x1000}, /*confirmed=*/false,
-                        /*refill_cursor=*/0);
+    int id = allocateList(s, {0x1000}, /*confirmed=*/false,
+                          /*refill_cursor=*/0);
     drainStreams(s);
     for (int i = 0; i < 12; ++i)
         s.onHit(id);

@@ -585,7 +585,7 @@ TEST(HotpathRingQueue, WrapAroundGrowthRelinearizes)
         ASSERT_EQ(ring[k], k + 10);
 }
 
-// ---- InlineVec / ScratchPool ----------------------------------
+// ---- InlineVec -----------------------------------------------
 
 TEST(HotpathInlineVec, BasicInvariants)
 {
@@ -609,36 +609,6 @@ TEST(HotpathInlineVec, BasicInvariants)
     ASSERT_TRUE(v.empty());
 }
 
-TEST(HotpathScratchPool, RecyclesCapacity)
-{
-    ScratchPool<std::uint64_t> pool;
-    const std::uint64_t *data = nullptr;
-    {
-        auto h = pool.acquire();
-        ASSERT_TRUE(h->empty());
-        for (int i = 0; i < 500; ++i)
-            h->push_back(i);
-        data = h->data();
-    }
-    ASSERT_EQ(pool.idle(), 1u);
-    {
-        // The recycled vector keeps its allocation: same backing
-        // pointer, cleared contents.
-        auto h = pool.acquire();
-        ASSERT_TRUE(h->empty());
-        ASSERT_GE(h->capacity(), 500u);
-        ASSERT_EQ(h->data(), data);
-    }
-    {
-        auto a = pool.acquire();
-        auto b = pool.acquire(); // pool empty: fresh vector
-        a->push_back(1);
-        b->push_back(2);
-        ASSERT_NE(a->data(), b->data());
-    }
-    ASSERT_EQ(pool.idle(), 2u);
-}
-
 // ---- StreamQueueSet round-trip with ring-backed pending -------
 
 TEST(HotpathStreamQueues, StateRoundTripPreservesPending)
@@ -651,8 +621,9 @@ TEST(HotpathStreamQueues, StateRoundTripPreservesPending)
     };
     StreamQueueSet a({}, refill);
     std::vector<Addr> initial{0x40, 0x80, 0xC0, 0x100, 0x140};
-    int id = a.allocate(initial, /*confirmed=*/false,
-                        /*refill_cursor=*/1);
+    int id = a.allocate(initial.data(),
+                        initial.data() + initial.size(),
+                        /*confirmed=*/false, /*refill_cursor=*/1);
     for (int i = 0; i < 3; ++i)
         a.onHit(id);
     std::vector<PrefetchRequest> reqs;

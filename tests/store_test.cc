@@ -97,43 +97,70 @@ TEST_F(TraceStoreTest, CrossProcessReuse)
     expectSameTrace(t, loaded);
 }
 
-TEST_F(TraceStoreTest, OpenTraceStreamsViaMmap)
-{
-    TraceStore store(dir_);
-    Trace t = sampleTrace();
-    TraceKey key{"mmap", 500, 1};
-    ASSERT_TRUE(store.putTrace(key, t).has_value());
-    auto src = store.openTrace(key);
-    ASSERT_NE(src, nullptr);
-    EXPECT_EQ(src->size(), t.size());
-    Trace replayed;
-    src->readAll(replayed);
-    expectSameTrace(t, replayed);
-}
-
 TEST_F(TraceStoreTest, CorruptEntryIsDroppedNotServed)
 {
-    TraceStore store(dir_);
-    Trace t = sampleTrace();
-    TraceKey key{"corrupt", 500, 1};
-    ASSERT_TRUE(store.putTrace(key, t).has_value());
+    // Every hostile shape of a stored .trc fails the load and drops
+    // the entry; the next sweep then regenerates the trace and
+    // matches a store-less run bitwise.
+    using Bytes = std::vector<char>;
+    struct Case
+    {
+        const char *name;
+        void (*mutate)(Bytes &);
+    };
+    const Case cases[] = {
+        {"truncated", [](Bytes &b) { b.resize(b.size() / 2); }},
+        {"trailing-byte", [](Bytes &b) { b.push_back('x'); }},
+        {"count-header", [](Bytes &b) { b[12] ^= 0x55; }},
+        {"payload-length-header", [](Bytes &b) { b[20] ^= 0x55; }},
+        {"payload-flip", [](Bytes &b) { b[40] ^= 0x55; }},
+    };
 
-    // Flip a payload byte of the stored .trc file.
-    for (const auto &de : std::filesystem::recursive_directory_iterator(
-             dir_)) {
-        if (de.path().extension() != ".trc")
-            continue;
-        std::fstream f(de.path(),
-                       std::ios::in | std::ios::out |
-                           std::ios::binary);
-        f.seekp(40);
-        f.put('\x7f');
+    const ExperimentConfig cfg = smallConfig(false, 20000);
+    const std::vector<std::string> workloads = {"dss-qry17"};
+    ExperimentDriver no_store(cfg, 2);
+    const auto reference =
+        no_store.run(workloads, engineSpecs({"stems"}));
+    const Trace t = makeWorkload("dss-qry17")
+                        ->generate(cfg.seed, cfg.traceRecords);
+    const TraceKey key{"dss-qry17", cfg.traceRecords, cfg.seed};
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string dir = dir_ + "/" + c.name;
+        auto store = std::make_shared<TraceStore>(dir);
+        ASSERT_TRUE(store->putTrace(key, t).has_value());
+        for (const auto &de :
+             std::filesystem::recursive_directory_iterator(dir)) {
+            if (de.path().extension() != ".trc")
+                continue;
+            Bytes bytes;
+            {
+                std::ifstream in(de.path(), std::ios::binary);
+                bytes.assign(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+            }
+            c.mutate(bytes);
+            std::ofstream out(de.path(),
+                              std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+
+        Trace loaded;
+        EXPECT_FALSE(store->loadTrace(key, loaded));
+        // The corrupt entry was dropped entirely.
+        EXPECT_FALSE(store->findTrace(key).has_value());
+
+        ExperimentDriver driver(cfg, 2);
+        driver.setStore(store);
+        expectSameResults(
+            reference, driver.run(workloads, engineSpecs({"stems"})));
+        EXPECT_EQ(driver.traceGenerations(), 1u);
+        // The regenerated trace was re-persisted intact.
+        ASSERT_TRUE(store->loadTrace(key, loaded));
+        expectSameTrace(t, loaded);
     }
-
-    Trace loaded;
-    EXPECT_FALSE(store.loadTrace(key, loaded));
-    // The corrupt entry was dropped entirely.
-    EXPECT_FALSE(store.findTrace(key).has_value());
 }
 
 TEST_F(TraceStoreTest, BaselineRoundTripIsBitExact)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for trace records, the builder, binary trace I/O (both
- * encodings, including corruption/truncation rejection), the
- * TraceSource/mmap replay path, text-trace import/export, and the
+ * encodings, including corruption/truncation rejection),
+ * text-trace import/export, and the
  * randomized v2-codec property tests: arbitrary record streams
  * round-trip bitwise, and random single-byte corruption is always
  * rejected, never mis-decoded.
@@ -18,7 +18,6 @@
 #include "trace/text_trace.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_source.hh"
 
 namespace stems {
 namespace {
@@ -330,9 +329,6 @@ TEST_P(TraceCorruptionTest, CorruptHeaderByteRejected)
         Trace loaded;
         EXPECT_FALSE(readTraceFile(path_, loaded))
             << "accepted a corrupt header byte at offset " << off;
-        if (GetParam()) {
-            EXPECT_EQ(MmapTraceSource::open(path_), nullptr);
-        }
     }
 }
 
@@ -352,39 +348,6 @@ INSTANTIATE_TEST_SUITE_P(V1AndV2, TraceCorruptionTest,
                          [](const auto &info) {
                              return info.param ? "v2" : "v1";
                          });
-
-TEST_F(TraceIoTest, MmapSourceReplaysExactly)
-{
-    Trace original = fullFieldTrace();
-    ASSERT_TRUE(writeTraceFileV2(path_, original));
-    auto src = MmapTraceSource::open(path_);
-    ASSERT_NE(src, nullptr);
-    EXPECT_EQ(src->size(), original.size());
-    Trace replayed;
-    src->readAll(replayed);
-    expectSameTrace(original, replayed);
-
-    // reset() rewinds to the first record.
-    src->reset();
-    MemRecord r;
-    ASSERT_TRUE(src->next(r));
-    EXPECT_EQ(r.vaddr, original[0].vaddr);
-}
-
-TEST_F(TraceIoTest, MmapSourceRejectsV1AndCorruptFiles)
-{
-    Trace t = fullFieldTrace();
-    ASSERT_TRUE(writeTraceFile(path_, t)); // v1
-    EXPECT_EQ(MmapTraceSource::open(path_), nullptr);
-    EXPECT_EQ(MmapTraceSource::open(path_ + ".missing"), nullptr);
-
-    // openTraceSource falls back to an in-memory source for v1.
-    auto src = openTraceSource(path_);
-    ASSERT_NE(src, nullptr);
-    Trace replayed;
-    src->readAll(replayed);
-    expectSameTrace(t, replayed);
-}
 
 class TextTraceTest : public ::testing::Test
 {
@@ -567,8 +530,7 @@ randomTrace(Rng &rng, std::size_t records)
 
 TEST_F(TraceIoTest, PropertyRandomTracesRoundTripBitwise)
 {
-    // Seeded, so a failure reproduces; 24 shapes x both encodings x
-    // both decode paths (materializing reader and mmap replay).
+    // Seeded, so a failure reproduces; 24 shapes x both encodings.
     Rng rng(0x7e57);
     for (int trial = 0; trial < 24; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
@@ -580,12 +542,6 @@ TEST_F(TraceIoTest, PropertyRandomTracesRoundTripBitwise)
         ASSERT_TRUE(readTraceFile(path_, via_reader));
         expectSameTrace(original, via_reader);
 
-        auto src = MmapTraceSource::open(path_);
-        ASSERT_NE(src, nullptr);
-        Trace via_mmap;
-        src->readAll(via_mmap);
-        expectSameTrace(original, via_mmap);
-
         ASSERT_TRUE(writeTraceFile(path_, original)); // v1
         Trace via_v1;
         ASSERT_TRUE(readTraceFile(path_, via_v1));
@@ -596,7 +552,7 @@ TEST_F(TraceIoTest, PropertyRandomTracesRoundTripBitwise)
 TEST_F(TraceIoTest, PropertyRandomCorruptionAlwaysRejected)
 {
     // Any single corrupted byte — header, payload or CRC — must make
-    // every decode path reject the file; a mis-decode (success with
+    // the reader reject the file; a mis-decode (success with
     // different records) is the one unacceptable outcome.
     Rng rng(0xBADF00D);
     Trace original = randomTrace(rng, 400);
@@ -622,7 +578,6 @@ TEST_F(TraceIoTest, PropertyRandomCorruptionAlwaysRejected)
                      std::to_string(static_cast<int>(flip)));
         Trace loaded;
         EXPECT_FALSE(readTraceFile(path_, loaded));
-        EXPECT_EQ(MmapTraceSource::open(path_), nullptr);
     }
 }
 

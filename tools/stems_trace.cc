@@ -50,6 +50,7 @@
 #include "analysis/correlation.hh"
 #include "analysis/coverage.hh"
 #include "bench/bench_util.hh"
+#include "common/stats.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
@@ -279,10 +280,10 @@ cmdAnalyze(int argc, char **argv)
                 static_cast<unsigned long long>(jc.total()));
     std::printf("  both %5.1f%%  TMS-only %5.1f%%  SMS-only %5.1f%%"
                 "  neither %5.1f%%\n\n",
-                100.0 * jc.both / jc.total(),
-                100.0 * jc.tmsOnly / jc.total(),
-                100.0 * jc.smsOnly / jc.total(),
-                100.0 * jc.neither / jc.total());
+                100.0 * ratio(jc.both, jc.total()),
+                100.0 * ratio(jc.tmsOnly, jc.total()),
+                100.0 * ratio(jc.smsOnly, jc.total()),
+                100.0 * ratio(jc.neither, jc.total()));
 
     CorrelationAnalyzer corr;
     corr.run(t);
@@ -291,10 +292,8 @@ cmdAnalyze(int argc, char **argv)
                     corr.distances().total()));
     std::printf("  perfect (+1) %5.1f%%  |d|<=2 %5.1f%%  |d|<=4 "
                 "%5.1f%%\n",
-                100.0 * corr.distances().count(1) /
-                    (corr.distances().total()
-                         ? corr.distances().total()
-                         : 1),
+                100.0 * ratio(corr.distances().count(1),
+                              corr.distances().total()),
                 100.0 * corr.fractionWithinWindow(2),
                 100.0 * corr.fractionWithinWindow(4));
     return 0;
