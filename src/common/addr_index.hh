@@ -28,10 +28,10 @@
 #define STEMS_COMMON_ADDR_INDEX_HH
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -122,14 +122,16 @@ class AddrIndex
     void
     saveState(Writer &w) const
     {
-        std::vector<std::pair<Addr, Position>> entries;
+        std::vector<Slot> entries;
         entries.reserve(size_);
-        forEach([&](Addr k, Position p) { entries.emplace_back(k, p); });
-        std::sort(entries.begin(), entries.end());
+        for (const Slot &s : slots_)
+            if (s.key != kEmptyKey)
+                entries.push_back(s);
+        sortByKey(entries);
         w.u64(entries.size());
-        for (const auto &kv : entries) {
-            w.u64(kv.first);
-            w.u64(kv.second);
+        for (const Slot &s : entries) {
+            w.u64(s.key);
+            w.u64(s.pos);
         }
     }
 
@@ -171,6 +173,40 @@ class AddrIndex
     };
 
     static constexpr std::size_t kMinSlots = 16;
+
+    /**
+     * Sort entries by key: an LSD radix sort over the key's eight
+     * bytes that skips every byte position all keys share (block
+     * alignment fixes the low bits and the address space the high
+     * ones, so most are skipped). Keys are unique, so the order is
+     * the one a comparison sort gives.
+     */
+    static void
+    sortByKey(std::vector<Slot> &entries)
+    {
+        const std::size_t n = entries.size();
+        if (n < 2)
+            return;
+        std::array<std::array<std::size_t, 256>, 8> counts{};
+        for (const Slot &s : entries)
+            for (unsigned d = 0; d < 8; ++d)
+                ++counts[d][(s.key >> (8 * d)) & 0xFF];
+        std::vector<Slot> sorted(n);
+        for (unsigned d = 0; d < 8; ++d) {
+            std::array<std::size_t, 256> &next = counts[d];
+            if (next[(entries[0].key >> (8 * d)) & 0xFF] == n)
+                continue;
+            std::size_t offset = 0;
+            for (std::size_t &c : next) {
+                const std::size_t bucket = c;
+                c = offset;
+                offset += bucket;
+            }
+            for (const Slot &s : entries)
+                sorted[next[(s.key >> (8 * d)) & 0xFF]++] = s;
+            entries.swap(sorted);
+        }
+    }
 
     /** Smallest power-of-two slot count holding n keys at <= 3/4
      *  load. */

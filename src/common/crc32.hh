@@ -2,6 +2,11 @@
  * @file
  * CRC-32 (IEEE 802.3 polynomial, the zlib/gzip variant) used to
  * integrity-check on-disk trace and store files.
+ *
+ * The implementation is slicing-by-8: eight table lookups fold eight
+ * input bytes per step, with a byte-at-a-time tail. It returns the
+ * same values as the classic one-lookup-per-byte loop (frozen in
+ * tests/reference_crc32.hh) for every length, alignment and chunking.
  */
 
 #ifndef STEMS_COMMON_CRC32_HH

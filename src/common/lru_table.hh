@@ -245,6 +245,33 @@ class LruTable
     }
 
     /**
+     * Whether saveState would write the same bytes for both tables,
+     * without serializing either: same geometry and clock, and slot
+     * for slot the same validity and, for a valid slot, the same key,
+     * stamp and value. An invalid slot compares only its validity;
+     * its stale key and value are ignored, as saveSlots skips them.
+     *
+     * @param same_value  (const V &, const V &) -> bool: whether the
+     *                    two values serialize to the same bytes.
+     */
+    template <typename SameValue>
+    bool
+    stateEquals(const LruTable &other, SameValue &&same_value) const
+    {
+        if (ways_ != other.ways_ || sets_ != other.sets_ ||
+            clock_ != other.clock_)
+            return false;
+        for (std::size_t i = 0; i < lru_.size(); ++i) {
+            if (lru_[i] != other.lru_[i])
+                return false;
+            if (lru_[i] && (keys_[i] != other.keys_[i] ||
+                            !same_value(values_[i], other.values_[i])))
+                return false;
+        }
+        return true;
+    }
+
+    /**
      * Restore state written by saveState into a table of identical
      * geometry (fails the reader otherwise, or on any slot that
      * loadSlots() rejects).

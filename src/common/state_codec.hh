@@ -21,6 +21,8 @@
 #ifndef STEMS_COMMON_STATE_CODEC_HH
 #define STEMS_COMMON_STATE_CODEC_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -40,14 +42,30 @@ stateTag(char a, char b, char c, char d)
             << 24);
 }
 
-/** Appends state fields to a growing byte buffer. */
+/**
+ * Appends state fields to a growing byte buffer. A field is one
+ * bounds check plus a fixed-size memcpy. The buffer is zero-extended
+ * a page at a time (vector::resize doubles the capacity when it must
+ * reallocate), so at most one page past the written bytes is ever
+ * touched: unused capacity of a multi-MB blob costs no page faults.
+ */
 class StateWriter
 {
   public:
+    /**
+     * @param header_bytes  zero bytes to leave in front of the first
+     *                      field: a frame header the owner patches
+     *                      into take()'s result (sim/checkpoint.cc).
+     */
+    explicit StateWriter(std::size_t header_bytes = 0)
+        : buf_(header_bytes), size_(header_bytes)
+    {
+    }
+
     void
     u8(std::uint8_t v)
     {
-        buf_.push_back(v);
+        raw(&v, sizeof(v));
     }
 
     void
@@ -88,19 +106,39 @@ class StateWriter
         u32(t);
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
+    /** The bytes written so far (header slot included). */
+    const std::vector<std::uint8_t> &
+    bytes()
+    {
+        buf_.resize(size_);
+        return buf_;
+    }
 
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
+    /** bytes(), moved out; the writer is left empty. */
+    std::vector<std::uint8_t>
+    take()
+    {
+        bytes();
+        size_ = 0;
+        return std::move(buf_);
+    }
 
   private:
+    static constexpr std::size_t kPageBytes = 4096;
+
     void
     raw(const void *data, std::size_t len)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf_.insert(buf_.end(), p, p + len);
+        if (len > buf_.size() - size_)
+            buf_.resize(size_ + std::max(len, kPageBytes));
+        std::memcpy(buf_.data() + size_, data, len);
+        size_ += len;
     }
 
+    /// buf_[0, size_) holds the written bytes; the rest of buf_ is
+    /// zero-filled room for the next fields.
     std::vector<std::uint8_t> buf_;
+    std::size_t size_;
 };
 
 /** Bounds-checked sequential reader over a state byte stream. */

@@ -106,6 +106,18 @@ Cache::saveState(StateWriter &w) const
     });
 }
 
+bool
+Cache::stateEquals(const Cache &other) const
+{
+    return accesses_ == other.accesses_ && misses_ == other.misses_ &&
+           lines_.stateEquals(other.lines_,
+                              [](std::uint8_t a, std::uint8_t b) {
+                                  return ((a ^ b) &
+                                          (kPrefetched | kReferenced)) ==
+                                         0;
+                              });
+}
+
 void
 Cache::loadState(StateReader &r)
 {

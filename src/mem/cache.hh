@@ -114,6 +114,15 @@ class Cache
     /** Serialize the full cache state (checkpointing). */
     void saveState(StateWriter &w) const;
 
+    /**
+     * Whether saveState would write the same bytes for both caches,
+     * compared directly: geometry, clock, demand counters and every
+     * line's validity, key, stamp and flags. Invalid lines compare
+     * only their validity (a stale key is ignored); the name is not
+     * part of the state.
+     */
+    bool stateEquals(const Cache &other) const;
+
     /** Restore state saved from an identically-shaped cache; fails
      *  the reader on a geometry mismatch. */
     void loadState(StateReader &r);

@@ -62,8 +62,9 @@ class BatchSimulator
      * standalone simulator holding the state at the batch's start
      * index (setStart), e.g. from decodeCheckpoint. The first
      * restored lane's hierarchy becomes the batch's front-end; a
-     * later lane joins only if its L1 is byte-identical to it, and
-     * reads the shared L2 only if its own L2 is byte-equal to it
+     * later lane joins only if its L1 is state-equal to it
+     * (Cache::stateEquals: the saveState bytes would match), and
+     * reads the shared L2 only if its own L2 is state-equal to it
      * (it keeps its L2 private otherwise). A batch's lanes are
      * either all added cold or all restored.
      *

@@ -4,6 +4,7 @@
 
 #include "common/crc32.hh"
 #include "common/state_codec.hh"
+#include "obs/metrics.hh"
 
 namespace stems {
 
@@ -32,6 +33,38 @@ getScalar(const std::vector<std::uint8_t> &buf, std::size_t offset)
     return v;
 }
 
+/** Deterministic work counts: bytes encoded into blobs and payload
+ *  bytes hashed to verify them. */
+struct CheckpointMetrics
+{
+    Counter &encodedBytes =
+        MetricsRegistry::instance().counter("ckpt.encoded_bytes");
+    Counter &verifiedBytes =
+        MetricsRegistry::instance().counter("ckpt.verified_bytes");
+};
+
+CheckpointMetrics &
+ckptMetrics()
+{
+    static CheckpointMetrics metrics;
+    return metrics;
+}
+
+/** Restore a blob whose framing was already checked. */
+bool
+decodeFramed(const std::vector<std::uint8_t> &blob,
+             PrefetchSimulator &sim, std::uint64_t *index_out)
+{
+    StateReader r(blob.data() + kHeaderBytes,
+                  blob.size() - kHeaderBytes);
+    sim.loadState(r);
+    if (!r.atEnd())
+        return false;
+    if (index_out)
+        *index_out = getScalar<std::uint64_t>(blob, kIndexOffset);
+    return true;
+}
+
 } // namespace
 
 std::vector<std::size_t>
@@ -52,21 +85,19 @@ std::vector<std::uint8_t>
 encodeCheckpoint(const PrefetchSimulator &sim,
                  std::uint64_t record_index)
 {
-    StateWriter w;
+    StateWriter w(kHeaderBytes);
     sim.saveState(w);
-    const std::vector<std::uint8_t> &payload = w.bytes();
-
-    std::vector<std::uint8_t> blob(kHeaderBytes + payload.size());
+    std::vector<std::uint8_t> blob = w.take();
+    const std::size_t payload_len = blob.size() - kHeaderBytes;
     std::memcpy(blob.data(), kCheckpointMagic,
                 sizeof(kCheckpointMagic));
     putScalar<std::uint32_t>(blob, 8, kCheckpointVersion);
     putScalar<std::uint64_t>(blob, kIndexOffset, record_index);
-    putScalar<std::uint64_t>(blob, kPayloadLenOffset,
-                             payload.size());
-    putScalar<std::uint32_t>(blob, kCrcOffset,
-                             crc32(payload.data(), payload.size()));
-    std::memcpy(blob.data() + kHeaderBytes, payload.data(),
-                payload.size());
+    putScalar<std::uint64_t>(blob, kPayloadLenOffset, payload_len);
+    putScalar<std::uint32_t>(
+        blob, kCrcOffset,
+        crc32(blob.data() + kHeaderBytes, payload_len));
+    ckptMetrics().encodedBytes.add(blob.size());
     return blob;
 }
 
@@ -84,35 +115,38 @@ checkpointValid(const std::vector<std::uint8_t> &blob)
         getScalar<std::uint64_t>(blob, kPayloadLenOffset);
     if (payload_len != blob.size() - kHeaderBytes)
         return false;
+    ckptMetrics().verifiedBytes.add(payload_len);
     std::uint32_t crc = getScalar<std::uint32_t>(blob, kCrcOffset);
     return crc32(blob.data() + kHeaderBytes,
                  static_cast<std::size_t>(payload_len)) == crc;
 }
 
-bool
-checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
-                      std::uint64_t &index_out)
+std::uint64_t
+VerifiedCheckpoint::index() const
+{
+    return getScalar<std::uint64_t>(blob_, kIndexOffset);
+}
+
+std::optional<VerifiedCheckpoint>
+verifyCheckpoint(std::vector<std::uint8_t> blob)
 {
     if (!checkpointValid(blob))
-        return false;
-    index_out = getScalar<std::uint64_t>(blob, kIndexOffset);
-    return true;
+        return std::nullopt;
+    return VerifiedCheckpoint(std::move(blob));
+}
+
+bool
+decodeCheckpoint(const VerifiedCheckpoint &blob,
+                 PrefetchSimulator &sim, std::uint64_t *index_out)
+{
+    return decodeFramed(blob.bytes(), sim, index_out);
 }
 
 bool
 decodeCheckpoint(const std::vector<std::uint8_t> &blob,
                  PrefetchSimulator &sim, std::uint64_t *index_out)
 {
-    if (!checkpointValid(blob))
-        return false;
-    StateReader r(blob.data() + kHeaderBytes,
-                  blob.size() - kHeaderBytes);
-    sim.loadState(r);
-    if (!r.atEnd())
-        return false;
-    if (index_out)
-        *index_out = getScalar<std::uint64_t>(blob, kIndexOffset);
-    return true;
+    return checkpointValid(blob) && decodeFramed(blob, sim, index_out);
 }
 
 } // namespace stems

@@ -27,6 +27,8 @@
  * Decoding is reject-only: magic/version/length/CRC are verified
  * before any simulator mutation, and a structural mismatch inside
  * the payload (wrong geometry, wrong engine shape) fails the load.
+ * The CRC is checked once per load: a VerifiedCheckpoint carries the
+ * proof that it was, so decoding one skips the framing pass.
  * The TraceStore persists these blobs as its fourth entry class,
  * keyed by (trace-prefix digest, engine-spec digest, config digest,
  * record index) — see store/trace_store.hh.
@@ -37,6 +39,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/prefetch_sim.hh"
@@ -69,7 +73,10 @@ std::vector<std::size_t> checkpointBounds(std::size_t trace_size,
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
- * Serialize a simulator into a framed checkpoint blob.
+ * Serialize a simulator into a framed checkpoint blob. The payload is
+ * written in place behind a header slot that is patched afterwards,
+ * so the blob is never copied. Counts the blob's bytes in the
+ * `ckpt.encoded_bytes` metric.
  *
  * @param sim           the simulator to capture (mid-run, before
  *                      finish()).
@@ -81,16 +88,46 @@ encodeCheckpoint(const PrefetchSimulator &sim,
 
 /**
  * Validate a blob's framing (magic, version, length, CRC) without
- * touching any simulator. @return false on any mismatch.
+ * touching any simulator. Every call hashes the whole payload and
+ * counts its bytes in the `ckpt.verified_bytes` metric. @return
+ * false on any mismatch.
  */
 bool checkpointValid(const std::vector<std::uint8_t> &blob);
 
 /**
- * Peek a valid blob's record index. @return false when the framing
- * is invalid.
+ * A checkpoint blob whose framing and CRC have been verified.
+ * verifyCheckpoint is the only way to make one, so decoding it needs
+ * no second pass over the bytes: the store verifies each blob it
+ * loads once (store/trace_store.hh) and the driver decodes what it
+ * returns.
  */
-bool checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
-                           std::uint64_t &index_out);
+class VerifiedCheckpoint
+{
+  public:
+    /** The whole blob, header included. */
+    const std::vector<std::uint8_t> &bytes() const { return blob_; }
+
+    /** Records stepped before the save (the header's index). */
+    std::uint64_t index() const;
+
+  private:
+    friend std::optional<VerifiedCheckpoint>
+    verifyCheckpoint(std::vector<std::uint8_t> blob);
+
+    explicit VerifiedCheckpoint(std::vector<std::uint8_t> blob)
+        : blob_(std::move(blob))
+    {
+    }
+
+    std::vector<std::uint8_t> blob_;
+};
+
+/**
+ * Check a blob's framing (checkpointValid) and take ownership of it.
+ * @return nullopt when the framing is invalid.
+ */
+std::optional<VerifiedCheckpoint>
+verifyCheckpoint(std::vector<std::uint8_t> blob);
 
 /**
  * Restore a checkpoint into a simulator constructed with the same
@@ -105,6 +142,12 @@ bool checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
  * @return true when the simulator now holds the checkpointed state.
  */
 bool decodeCheckpoint(const std::vector<std::uint8_t> &blob,
+                      PrefetchSimulator &sim,
+                      std::uint64_t *index_out = nullptr);
+
+/** decodeCheckpoint for a blob whose framing is already verified:
+ *  only the payload structure is checked. */
+bool decodeCheckpoint(const VerifiedCheckpoint &blob,
                       PrefetchSimulator &sim,
                       std::uint64_t *index_out = nullptr);
 

@@ -519,9 +519,9 @@ ExperimentDriver::runCells(
                 lane_engines[k] = make_cell_engine(column(k));
                 auto sim = std::make_unique<PrefetchSimulator>(
                     sim_params, lane_engines[k].get());
-                std::uint64_t decoded = 0;
-                if (decodeCheckpoint(*blob, *sim, &decoded) &&
-                    decoded == usable[c]) {
+                // The store verified the blob and its index; decoding
+                // checks only the payload structure.
+                if (decodeCheckpoint(*blob, *sim)) {
                     restored[k] = std::move(sim);
                     resume = usable[c];
                     break;

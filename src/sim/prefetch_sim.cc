@@ -46,27 +46,15 @@ PrefetchSimulator::privateL2()
     return *l2_;
 }
 
-namespace {
-
-std::vector<std::uint8_t>
-stateBytes(const Cache &c)
-{
-    StateWriter w;
-    c.saveState(w);
-    return w.take();
-}
-
-} // namespace
-
 bool
 PrefetchSimulator::joinFrontEnd(DemandFrontEnd &shared)
 {
     const Hierarchy &own = frontEnd_->hier;
-    if (stateBytes(own.l1()) != stateBytes(shared.hier.l1()))
+    if (!own.l1().stateEquals(shared.hier.l1()))
         return false;
     if (!l2_) {
         if (shared.l2Readers > 0 &&
-            stateBytes(own.l2()) == stateBytes(shared.hier.l2()))
+            own.l2().stateEquals(shared.hier.l2()))
             ++shared.l2Readers;
         else
             l2_ = std::make_unique<Cache>(own.l2());

@@ -193,7 +193,8 @@ class PrefetchSimulator
     /**
      * Move a restored standalone simulator onto a batch's
      * front-end: it reads the shared L2 only when its own L2 is
-     * byte-equal to it, and keeps a private copy otherwise.
+     * state-equal to it (Cache::stateEquals: the saveState bytes
+     * would match), and keeps a private copy otherwise.
      *
      * @return false (nothing changed) when the L1s differ.
      */

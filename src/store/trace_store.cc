@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <iterator>
 #include <sstream>
 #include <tuple>
 
@@ -241,6 +240,28 @@ atomicWrite(const fs::path &path, const void *data, std::size_t len)
         return false;
     }
     return true;
+}
+
+/**
+ * Read a whole file with one sized read. @return false when it
+ * cannot be opened or read in full.
+ */
+bool
+readFile(const std::string &path, std::vector<std::uint8_t> &out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    bool ok = std::fseek(f, 0, SEEK_END) == 0;
+    const long size = ok ? std::ftell(f) : -1;
+    ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+    if (ok) {
+        out.resize(static_cast<std::size_t>(size));
+        ok = std::fread(out.data(), 1, out.size(), f) == out.size() &&
+             std::fgetc(f) == EOF;
+    }
+    std::fclose(f);
+    return ok;
 }
 
 std::int64_t
@@ -476,15 +497,12 @@ TraceStore::loadResult(std::uint64_t trace_digest,
     }
     std::string path = resultPath(trace_digest, spec_digest,
                                   config_digest, /*meta=*/false);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::vector<std::uint8_t> bytes;
+    if (!readFile(path, bytes)) {
         ++resultMisses_;
         storeMetrics().resultMiss.add();
         return std::nullopt;
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
     StoredEngineResult result;
     if (!decodeResult(bytes, result)) {
         // Corrupt/truncated entry: drop both files so the caller's
@@ -609,7 +627,7 @@ TraceStore::putCheckpoint(std::uint64_t spec_digest,
     return true;
 }
 
-std::optional<std::vector<std::uint8_t>>
+std::optional<VerifiedCheckpoint>
 TraceStore::loadCheckpoint(std::uint64_t spec_digest,
                            std::uint64_t config_digest,
                            std::uint64_t record_index,
@@ -626,18 +644,15 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
     std::string path = checkpointPath(spec_digest, config_digest,
                                       record_index, state_digest,
                                       /*meta=*/false);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::vector<std::uint8_t> bytes;
+    if (!readFile(path, bytes)) {
         ++checkpointMisses_;
         storeMetrics().ckptMiss.add();
         return std::nullopt;
     }
-    std::vector<std::uint8_t> blob(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    std::uint64_t index = 0;
-    if (!checkpointRecordIndex(blob, index) ||
-        index != record_index) {
+    std::optional<VerifiedCheckpoint> blob =
+        verifyCheckpoint(std::move(bytes));
+    if (!blob || blob->index() != record_index) {
         // Corrupt/truncated/mis-keyed: drop the pair so the caller's
         // cold run rewrites it.
         ++checkpointMisses_;

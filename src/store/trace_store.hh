@@ -63,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.hh"
 #include "sim/prefetch_sim.hh"
 #include "trace/trace.hh"
 
@@ -254,11 +255,13 @@ class TraceStore
                        const StoredCheckpointMeta &meta);
 
     /**
-     * Load a stored checkpoint blob. The blob framing (magic,
-     * version, CRC) is verified here; a corrupt entry is deleted and
+     * Load a stored checkpoint blob. The store is the integrity gate:
+     * the blob framing (magic, version, length, CRC) is verified
+     * here, once, and the returned VerifiedCheckpoint decodes without
+     * hashing it again. A corrupt or mis-keyed entry is deleted and
      * counted as a miss so the caller falls back to a cold start.
      */
-    std::optional<std::vector<std::uint8_t>>
+    std::optional<VerifiedCheckpoint>
     loadCheckpoint(std::uint64_t spec_digest,
                    std::uint64_t config_digest,
                    std::uint64_t record_index,

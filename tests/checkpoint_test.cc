@@ -122,14 +122,21 @@ TEST(Checkpoint, SnapshotResumeMatchesContinuousForEveryEngine)
             std::vector<std::uint8_t> blob =
                 encodeCheckpoint(prefix, split);
 
-            std::uint64_t index = 0;
-            ASSERT_TRUE(checkpointRecordIndex(blob, index));
-            EXPECT_EQ(index, split);
+            auto verified = verifyCheckpoint(blob);
+            ASSERT_TRUE(verified.has_value());
+            EXPECT_EQ(verified->index(), split);
+            EXPECT_EQ(verified->bytes(), blob);
 
+            // Odd trials decode the verified blob, even ones the raw
+            // bytes: both paths must restore the same state.
             auto resumed_engine = makeEngine(name);
             PrefetchSimulator resumed(params,
                                       resumed_engine.get());
-            ASSERT_TRUE(decodeCheckpoint(blob, resumed, &index));
+            std::uint64_t index = 0;
+            ASSERT_TRUE(trial % 2
+                            ? decodeCheckpoint(*verified, resumed,
+                                               &index)
+                            : decodeCheckpoint(blob, resumed, &index));
             EXPECT_EQ(index, split);
             stepSpan(resumed, trace, split, trace.size(), warmup);
             resumed.finish();
@@ -601,6 +608,74 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
     auto expected =
         reference.run({"dss-qry17"}, engineSpecs(engines));
     expectSameResults(expected, results);
+}
+
+TEST_F(SegmentedDriverTest, CheckpointWorkCountersCountEachBlobOnce)
+{
+    // ckpt.encoded_bytes counts every blob byte encoded and
+    // ckpt.verified_bytes every payload byte hashed to verify one.
+    // A resume hashes each loaded blob exactly once: the store
+    // verifies it and the driver decodes it without a second pass.
+    Counter &encoded =
+        MetricsRegistry::instance().counter("ckpt.encoded_bytes");
+    Counter &verified =
+        MetricsRegistry::instance().counter("ckpt.verified_bytes");
+    constexpr std::uint64_t kHeaderBytes = 32;
+    // Summed .ckpt file sizes (and their count) with index in [lo, hi].
+    auto stored = [&](std::uint64_t lo, std::uint64_t hi) {
+        std::pair<std::uint64_t, std::uint64_t> bytes_and_files{0, 0};
+        for (const auto &de :
+             std::filesystem::directory_iterator(dir_ + "/checkpoints")) {
+            if (de.path().extension() != ".ckpt")
+                continue;
+            // <spec>-<config>-<index>-<state>, 16 hex digits each.
+            const std::uint64_t index = std::stoull(
+                de.path().stem().string().substr(34, 16), nullptr, 16);
+            if (index < lo || index > hi)
+                continue;
+            bytes_and_files.first += de.file_size();
+            ++bytes_and_files.second;
+        }
+        return bytes_and_files;
+    };
+
+    const std::vector<std::string> engines = {"tms", "stems"};
+    ExperimentConfig short_cfg = smallConfig(false, 20000);
+    short_cfg.warmupRecords = 8000;
+    SweepPlan short_plan = configPlan(short_cfg, 2);
+    short_plan.checkpointEvery = 6000;
+    std::uint64_t encoded_before = encoded.value();
+    ExperimentDriver first;
+    first.applyPlan(short_plan);
+    first.setStore(std::make_shared<TraceStore>(dir_));
+    first.run({"dss-qry17"}, engineSpecs(engines));
+    const std::uint64_t short_size =
+        makeWorkload("dss-qry17")->generate(short_cfg.seed, 20000).size();
+    const auto written = stored(0, short_size);
+    EXPECT_EQ(written.second, first.checkpointsWritten());
+    EXPECT_EQ(encoded.value() - encoded_before, written.first);
+
+    ExperimentConfig long_cfg = smallConfig(false, 40000);
+    long_cfg.warmupRecords = 8000;
+    SweepPlan long_plan = configPlan(long_cfg, 2);
+    long_plan.checkpointEvery = 6000;
+    encoded_before = encoded.value();
+    const std::uint64_t verified_before = verified.value();
+    ExperimentDriver extended;
+    extended.applyPlan(long_plan);
+    extended.setStore(std::make_shared<TraceStore>(dir_));
+    extended.run({"dss-qry17"}, engineSpecs(engines));
+
+    // Every cell resumed from its end-of-trace checkpoint of the
+    // short run, so exactly those blobs were loaded.
+    ASSERT_EQ(extended.resumedRuns(), 1u + engines.size());
+    const auto loaded = stored(short_size, short_size);
+    ASSERT_EQ(loaded.second, 1u + engines.size());
+    EXPECT_EQ(verified.value() - verified_before,
+              loaded.first - loaded.second * kHeaderBytes);
+    const auto extension = stored(short_size + 1, ~std::uint64_t{0});
+    EXPECT_EQ(extension.second, extended.checkpointsWritten());
+    EXPECT_EQ(encoded.value() - encoded_before, extension.first);
 }
 
 TEST_F(SegmentedDriverTest, LanesResumingAtDifferentIndicesRunAsSeparatePasses)

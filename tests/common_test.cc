@@ -1,20 +1,26 @@
 /**
  * @file
  * Unit tests for the common infrastructure: address geometry, RNG,
- * saturating counters, circular buffer, LRU table, histogram, table.
+ * saturating counters, circular buffer, LRU table, histogram, table,
+ * and CRC-32 against its frozen byte-at-a-time oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/circular_buffer.hh"
+#include "common/crc32.hh"
 #include "common/lru_table.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
+#include "reference_crc32.hh"
 
 namespace stems {
 namespace {
@@ -232,6 +238,63 @@ TEST(LruTable, ForEachVisitsAllValid)
     int n = 0;
     t.forEach([&](std::uint64_t, int &v) { n += v; });
     EXPECT_EQ(n, 20);
+}
+
+TEST(Crc32, CheckValue)
+{
+    const char *text = "123456789";
+    EXPECT_EQ(crc32(text, std::strlen(text)), 0xCBF43926u);
+    EXPECT_EQ(crc32(text, 0), 0u);
+}
+
+std::vector<unsigned char>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<unsigned char> bytes(n);
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths 0-71 cover the 8-byte loop with every tail length;
+    // the eight start offsets cover every alignment of its loads.
+    const auto bytes = randomBytes(80, 7);
+    for (std::uint32_t seed : {0u, 0xCBF43926u}) {
+        for (std::size_t align = 0; align < 8; ++align) {
+            for (std::size_t len = 0; len < 72; ++len) {
+                const unsigned char *p = bytes.data() + align;
+                EXPECT_EQ(crc32Update(seed, p, len),
+                          referenceCrc32Update(seed, p, len))
+                    << "align " << align << " len " << len
+                    << " seed " << seed;
+            }
+        }
+    }
+}
+
+TEST(Crc32, ChainedUpdatesMatchOneShotReference)
+{
+    // The v1 trace path chains one crc32Update per record, so a CRC
+    // must not depend on where a byte range is split.
+    const auto bytes = randomBytes(4096, 11);
+    const std::uint32_t whole =
+        referenceCrc32Update(0, bytes.data(), bytes.size());
+    ASSERT_EQ(crc32(bytes.data(), bytes.size()), whole);
+    Rng rng(13);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::uint32_t crc = 0;
+        std::size_t pos = 0;
+        while (pos < bytes.size()) {
+            std::size_t len = std::min<std::size_t>(
+                rng.below(trial % 2 ? 24 : 700), bytes.size() - pos);
+            crc = crc32Update(crc, bytes.data() + pos, len);
+            pos += len;
+        }
+        EXPECT_EQ(crc, whole) << "trial " << trial;
+    }
 }
 
 TEST(Histogram, BasicCountsAndFractions)

@@ -318,6 +318,51 @@ TEST(HotpathAddrIndex, StateRoundTripIsKeySortedAndExact)
     ASSERT_EQ(w.bytes(), wb.bytes());
 }
 
+TEST(HotpathAddrIndex, SaveOrderMatchesComparisonSort)
+{
+    // The radix sort skips byte positions every key shares; key sets
+    // that share all but one, some, or none of them must still save
+    // in exactly std::sort order.
+    std::mt19937_64 rng(23);
+    const std::vector<std::vector<Addr>> key_sets = [&] {
+        std::vector<std::vector<Addr>> sets(5);
+        for (int i = 0; i < 2000; ++i) {
+            sets[0].push_back(blockAlign(rng()));
+            sets[1].push_back(0x7f00'0000'0000ull +
+                              blockAlign(rng() % (1ull << 40)));
+            sets[2].push_back(((rng() & 1) ? 0xffff'0000'0000'0000ull
+                                           : 0x1000ull) +
+                              (rng() % 256) * kBlockBytes);
+            sets[3].push_back((rng() % 4) * kBlockBytes);
+        }
+        sets[4] = {0x40};
+        return sets;
+    }();
+    for (const auto &keys : key_sets) {
+        AddrIndex index;
+        IndexPairs want;
+        for (Addr k : keys) {
+            AddrIndex::Position &pos = index.findOrInsert(k);
+            if (pos == AddrIndex::kNoPosition)
+                want.emplace_back(k, 0);
+            pos = rng() % 1000;
+        }
+        for (auto &kv : want)
+            kv.second = *index.find(kv.first);
+        std::sort(want.begin(), want.end());
+
+        StateWriter w;
+        index.saveState(w);
+        StateReader r(w.bytes().data(), w.bytes().size());
+        ASSERT_EQ(r.u64(), want.size());
+        for (const auto &kv : want) {
+            ASSERT_EQ(r.u64(), kv.first);
+            ASSERT_EQ(r.u64(), kv.second);
+        }
+        EXPECT_TRUE(r.atEnd());
+    }
+}
+
 // ---- PST: cached predictions vs sort-at-lookup reference ------
 
 /** Whether the live table and the reference predict the same

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "common/state_codec.hh"
@@ -189,6 +190,133 @@ TEST(Cache, LoadRejectsValidLineWithZeroStamp)
 TEST(Cache, LoadRejectsStampAboveClock)
 {
     EXPECT_FALSE(cacheLoads(cachePayload({{0, 2, 5}}, 4)));
+}
+
+// ---- state equality: exactly "the saveState bytes are equal" ----
+
+std::vector<std::uint8_t>
+cacheBytes(const Cache &c)
+{
+    StateWriter w;
+    c.saveState(w);
+    return w.take();
+}
+
+/** stateEquals agrees with a byte comparison, in both directions. */
+::testing::AssertionResult
+equalityMatchesBytes(const Cache &a, const Cache &b)
+{
+    const bool bytes_equal = cacheBytes(a) == cacheBytes(b);
+    if (a.stateEquals(b) != bytes_equal || b.stateEquals(a) != bytes_equal)
+        return ::testing::AssertionFailure()
+               << "stateEquals disagrees with saveState bytes (bytes "
+               << (bytes_equal ? "equal" : "differ") << ")";
+    return ::testing::AssertionSuccess() << bytes_equal;
+}
+
+TEST(Cache, StateEqualsIgnoresStaleKeyInInvalidSlot)
+{
+    // Blocks 0 and 2 map to set 0: each cache fills way 0 and
+    // invalidates it, leaving a different stale key behind.
+    Cache a = tinyCache(), b = tinyCache();
+    a.insert(0 * kBlockBytes);
+    a.invalidate(0 * kBlockBytes);
+    b.insert(2 * kBlockBytes);
+    b.invalidate(2 * kBlockBytes);
+    EXPECT_EQ(cacheBytes(a), cacheBytes(b));
+    EXPECT_TRUE(a.stateEquals(b));
+}
+
+TEST(Cache, StateEqualsSeesFlagsAndStamps)
+{
+    Cache a = tinyCache(), b = tinyCache();
+    a.insert(0, /*prefetched=*/true);
+    b.insert(0, /*prefetched=*/false);
+    EXPECT_TRUE(equalityMatchesBytes(a, b));
+    EXPECT_FALSE(a.stateEquals(b));
+
+    // Referenced flag only: same hit, one lane saw a prefetch fill.
+    Cache c = tinyCache(), d = tinyCache();
+    c.insert(0, true);
+    d.insert(0, true);
+    c.access(0);
+    d.access(kBlockBytes); // a miss: same counters, no flag change
+    EXPECT_TRUE(equalityMatchesBytes(c, d));
+    EXPECT_FALSE(c.stateEquals(d));
+
+    // Same lines, same clock, swapped recency.
+    Cache e = tinyCache(), f = tinyCache();
+    for (Cache *x : {&e, &f}) {
+        x->insert(0);
+        x->insert(2 * kBlockBytes);
+    }
+    e.access(0);
+    f.access(2 * kBlockBytes);
+    EXPECT_TRUE(equalityMatchesBytes(e, f));
+    EXPECT_FALSE(e.stateEquals(f));
+}
+
+TEST(Cache, StateEqualsSeesClockAndCounters)
+{
+    // Clocks differ, every line the same: the extra fill is gone.
+    Cache a = tinyCache(), b = tinyCache();
+    a.insert(0);
+    b.insert(0);
+    a.insert(kBlockBytes);
+    a.invalidate(kBlockBytes);
+    EXPECT_TRUE(equalityMatchesBytes(a, b));
+    EXPECT_FALSE(a.stateEquals(b));
+
+    // A miss counts an access and a miss and changes nothing else.
+    Cache c = tinyCache(), d = tinyCache();
+    c.access(0);
+    EXPECT_TRUE(equalityMatchesBytes(c, d));
+    EXPECT_FALSE(c.stateEquals(d));
+
+    // Accesses alone: a hit on one side, a refill of the same
+    // (already referenced) line on the other. Both stamp the line
+    // and keep its flags; only the hit counts an access.
+    Cache e = tinyCache(), f = tinyCache();
+    for (Cache *x : {&e, &f}) {
+        x->insert(0);
+        x->access(0);
+    }
+    e.access(0);
+    f.insert(0);
+    EXPECT_TRUE(equalityMatchesBytes(e, f));
+    EXPECT_FALSE(e.stateEquals(f));
+}
+
+TEST(Cache, StateEqualsMatchesBytesOnRandomPairs)
+{
+    // Both caches replay one random op stream; with some probability
+    // an op on the second is swapped for a different one. Small
+    // geometry and a small block pool make stale keys, refills and
+    // equal-after-divergence states common.
+    std::mt19937_64 rng(17);
+    std::size_t equal = 0, unequal = 0;
+    for (int pair = 0; pair < 2000; ++pair) {
+        Cache a("a", 8 * kBlockBytes, 2), b("b", 8 * kBlockBytes, 2);
+        const unsigned diverge = pair % 4 == 0 ? 0 : 1 + rng() % 20;
+        auto op = [&](Cache &c, std::uint64_t r) {
+            const Addr block = (r >> 8) % 12 * kBlockBytes;
+            switch (r % 4) {
+            case 0: c.insert(block, (r >> 4) & 1); break;
+            case 1: c.access(block); break;
+            case 2: c.invalidate(block); break;
+            default: c.insert(block); break;
+            }
+        };
+        for (int i = 0; i < 24; ++i) {
+            const std::uint64_t r = rng();
+            op(a, r);
+            op(b, diverge && rng() % diverge == 0 ? rng() : r);
+        }
+        ASSERT_TRUE(equalityMatchesBytes(a, b)) << "pair " << pair;
+        ++(a.stateEquals(b) ? equal : unequal);
+    }
+    EXPECT_GT(equal, 100u);
+    EXPECT_GT(unequal, 100u);
 }
 
 /** One valid slot of a hand-built SVB payload. */

@@ -811,7 +811,7 @@ TEST_F(TraceStoreTest, CheckpointRoundTripAndIndexListing)
 
     auto loaded = store.loadCheckpoint(0xA, 0xB, 100, 0xC);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(*loaded, blob); // byte-for-byte
+    EXPECT_EQ(loaded->bytes(), blob); // byte-for-byte
 
     // Indices enumerate ascending across state digests.
     EXPECT_EQ(store.listCheckpointIndices(0xA, 0xB),
@@ -843,22 +843,55 @@ TEST_F(TraceStoreTest, CheckpointRoundTripAndIndexListing)
 
 TEST_F(TraceStoreTest, CorruptCheckpointEntryIsDroppedNotServed)
 {
-    TraceStore store(dir_);
-    ASSERT_TRUE(store.putCheckpoint(1, 2, 100, 3,
-                                    sampleCheckpointBlob(100),
-                                    {"wl", "sms", 100, 0}));
-    for (const auto &de :
-         std::filesystem::recursive_directory_iterator(dir_)) {
-        if (de.path().extension() != ".ckpt")
-            continue;
-        std::fstream f(de.path(), std::ios::in | std::ios::out |
-                                      std::ios::binary);
-        f.seekp(40);
-        f.put('\x7f');
+    // Every hostile shape of a stored .ckpt fails the load, which the
+    // store checks once (framing + CRC), and drops both files of the
+    // pair so a cold run rewrites it. Header fields: magic at 0,
+    // version at 8, index at 12, payload length at 20, CRC at 28;
+    // the payload starts at 32.
+    using Bytes = std::vector<char>;
+    struct Case
+    {
+        const char *name;
+        void (*mutate)(Bytes &);
+    };
+    const Case cases[] = {
+        {"empty", [](Bytes &b) { b.clear(); }},
+        {"short-header", [](Bytes &b) { b.resize(20); }},
+        {"payload-missing-last-byte", [](Bytes &b) { b.pop_back(); }},
+        {"trailing-byte", [](Bytes &b) { b.push_back('x'); }},
+        {"magic", [](Bytes &b) { b[0] ^= 0x55; }},
+        {"version", [](Bytes &b) { b[8] ^= 0x55; }},
+        {"index", [](Bytes &b) { b[12] ^= 0x55; }},
+        {"payload-length", [](Bytes &b) { b[20] ^= 0x55; }},
+        {"crc", [](Bytes &b) { b[28] ^= 0x55; }},
+        {"payload-flip", [](Bytes &b) { b[40] ^= 0x55; }},
+    };
+    const auto blob = sampleCheckpointBlob(100);
+    ASSERT_GT(blob.size(), 41u);
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string dir = dir_ + "/" + c.name;
+        TraceStore store(dir);
+        ASSERT_TRUE(
+            store.putCheckpoint(1, 2, 100, 3, blob, {"wl", "sms", 100, 0}));
+        for (const auto &de :
+             std::filesystem::recursive_directory_iterator(dir)) {
+            if (de.path().extension() != ".ckpt")
+                continue;
+            Bytes bytes(blob.begin(), blob.end());
+            c.mutate(bytes);
+            std::ofstream out(de.path(),
+                              std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        EXPECT_FALSE(store.loadCheckpoint(1, 2, 100, 3).has_value());
+        EXPECT_EQ(store.checkpointMisses(), 1u);
+        // Both files of the pair are gone, so the index listing is too.
+        EXPECT_TRUE(std::filesystem::is_empty(dir + "/checkpoints"));
+        EXPECT_TRUE(store.listCheckpointIndices(1, 2).empty());
     }
-    EXPECT_FALSE(store.loadCheckpoint(1, 2, 100, 3).has_value());
-    // Both files of the pair are gone, so the index listing is too.
-    EXPECT_TRUE(store.listCheckpointIndices(1, 2).empty());
 }
 
 TEST_F(TraceStoreTest, CheckpointsShareTheEvictionBudget)
@@ -935,11 +968,11 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
         std::uint64_t index = 100 * (t + 1);
         auto loaded = store.loadCheckpoint(spec, cfg, index, t);
         ASSERT_TRUE(loaded.has_value()) << "thread " << t;
-        EXPECT_EQ(*loaded, sampleCheckpointBlob(index));
+        EXPECT_EQ(loaded->bytes(), sampleCheckpointBlob(index));
     }
     auto shared = store.loadCheckpoint(spec, cfg, 500, 0xABC);
     ASSERT_TRUE(shared.has_value());
-    EXPECT_EQ(*shared, shared_blob);
+    EXPECT_EQ(shared->bytes(), shared_blob);
 
     // The key listing sees all of them, sorted, no duplicates.
     auto keys = store.listCheckpoints(spec, cfg);
