@@ -178,8 +178,8 @@ main(int argc, char **argv)
     suite.component("agt-record-end", n, [&] {
         StemsAgt agt;
         std::uint64_t ends = 0;
-        agt.setEndCallback(
-            [&](const StemsGeneration &) { ++ends; });
+        auto on_end = [&](const StemsGeneration &) { ++ends; };
+        agt.setEndCallback(on_end);
         std::uint64_t seq = 0;
         for (const MemRecord &e : events) {
             Addr region = regionBase(e.vaddr);

@@ -172,7 +172,9 @@ class LruTable
         return findOrInsert(key, [](std::uint64_t, V &) {});
     }
 
-    /** Remove an entry if present. @return true when removed. */
+    /** Remove an entry if present. Only its stamp is cleared: the
+     *  value stays readable through a pointer taken before the erase
+     *  until the slot is filled again. @return true when removed. */
     bool
     erase(std::uint64_t key)
     {

@@ -36,10 +36,11 @@ StemsAgt::blockRemoved(Addr a)
     if (gen == nullptr)
         return;
     if (gen->accessed(regionOffset(a))) {
-        StemsGeneration finished = *gen;
+        // erase() only zeroes the slot's stamp: *gen stays intact
+        // for the callback, which must not reopen a generation.
         table_.erase(regionNumber(regionBase(a)));
         if (onEnd_)
-            onEnd_(finished);
+            onEnd_(*gen);
     }
 }
 

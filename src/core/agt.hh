@@ -13,9 +13,8 @@
 #ifndef STEMS_CORE_AGT_HH
 #define STEMS_CORE_AGT_HH
 
-#include <functional>
-
 #include "common/arena.hh"
+#include "common/function_ref.hh"
 #include "common/lru_table.hh"
 #include "core/pst.hh"
 
@@ -67,13 +66,14 @@ struct StemsAgtParams
 class StemsAgt
 {
   public:
-    /** Called with generations as they end (feeds PST training). */
-    using EndCallback = std::function<void(const StemsGeneration &)>;
+    /** Called with generations as they end (feeds PST training).
+     *  Non-owning: the callable must outlive the table's use. */
+    using EndCallback = FunctionRef<void(const StemsGeneration &)>;
 
     explicit StemsAgt(StemsAgtParams params = {});
 
     /** Register the generation-end observer. */
-    void setEndCallback(EndCallback cb) { onEnd_ = std::move(cb); }
+    void setEndCallback(EndCallback cb) { onEnd_ = cb; }
 
     /** Active generation for a region, or nullptr. */
     StemsGeneration *find(Addr region_base);

@@ -27,8 +27,8 @@ StemsPrefetcher::StemsPrefetcher(StemsParams params)
                    &StemsPrefetcher::refillTemporal>(this)),
       reconIndex_(params.reconIndexEntries, 8)
 {
-    agt_.setEndCallback(
-        [this](const StemsGeneration &gen) { onGenerationEnd(gen); });
+    agt_.setEndCallback(StemsAgt::EndCallback::bind<
+                        &StemsPrefetcher::onGenerationEnd>(this));
 }
 
 void

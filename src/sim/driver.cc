@@ -74,10 +74,14 @@ struct WorkloadShard
     const Workload *workload = nullptr;
     bool scientific = false;
 
-    /// Trace generated once (first cell to touch it) and shared
-    /// read-only; released when the last cell finishes.
+    /// The records every cell replays, materialized once (first cell
+    /// to touch them) and shared read-only: the workload's own
+    /// (Workload::recorded) or `owned`.
     std::once_flag traceOnce;
-    Trace trace;
+    const Trace *records = nullptr;
+    /// Records the shard generated or loaded itself; released when
+    /// the last cell finishes. Empty while `records` is borrowed.
+    Trace owned;
     std::size_t warmup = 0;
     /// Record count of the materialized trace (outlives the early
     /// trace release; informational, for result sidecars).
@@ -393,28 +397,32 @@ ExperimentDriver::runCells(
             ScopedSpan span("trace.materialize", "driver");
             if (span.active())
                 span.arg("workload", shard.workload->name());
+            shard.records = &shard.owned;
             if (shard.storeEligible) {
                 std::optional<std::uint64_t> digest;
-                shard.trace =
+                shard.owned =
                     materializeTrace(*shard.workload, &digest);
                 if (digest) {
                     shard.traceDigest = *digest;
                     shard.digestValid = true;
                 }
+            } else if (const Trace *recorded =
+                           shard.workload->recorded()) {
+                shard.records = recorded;
             } else {
-                shard.trace = shard.workload->generate(
+                shard.owned = shard.workload->generate(
                     config_.seed, config_.traceRecords);
                 traceGenerations_.fetch_add(1);
                 driverMetrics().traceGenerated.add();
             }
-            shard.traceSize = shard.trace.size();
-            shard.warmup = effectiveWarmupRecords(
-                config_, shard.trace.size());
+            const Trace &trace = *shard.records;
+            shard.traceSize = trace.size();
+            shard.warmup = effectiveWarmupRecords(config_, trace.size());
             if (ckpt_enabled) {
-                shard.ckptBounds = checkpointBounds(
-                    shard.trace.size(), checkpointEvery_);
-                shard.ckptBoundPrefixes = tracePrefixDigests(
-                    shard.trace, shard.ckptBounds);
+                shard.ckptBounds =
+                    checkpointBounds(trace.size(), checkpointEvery_);
+                shard.ckptBoundPrefixes =
+                    tracePrefixDigests(trace, shard.ckptBounds);
             }
         });
     };
@@ -456,6 +464,7 @@ ExperimentDriver::runCells(
             span.arg("lanes",
                      static_cast<std::uint64_t>(group.size()));
         }
+        const Trace &trace = *shard.records;
         const bool resumable = ckpt_enabled && !shard.ckptBounds.empty();
         // Trace-prefix digests are a property of the trace, not a
         // lane: one memo serves every lane's resume probe (on-schedule
@@ -494,14 +503,14 @@ ExperimentDriver::runCells(
                 column(k).ckptSpecDigest, ckptConfigDigest_);
             std::vector<std::size_t> usable;
             for (std::uint64_t c : candidates)
-                if (c > 0 && c <= shard.trace.size() && c < limit)
+                if (c > 0 && c <= trace.size() && c < limit)
                     usable.push_back(static_cast<std::size_t>(c));
             std::vector<std::size_t> missing;
             for (std::size_t c : usable)
                 if (prefix_memo.find(c) == prefix_memo.end())
                     missing.push_back(c);
             if (!missing.empty()) {
-                auto computed = tracePrefixDigests(shard.trace, missing);
+                auto computed = tracePrefixDigests(trace, missing);
                 for (std::size_t m = 0; m < missing.size(); ++m)
                     prefix_memo[missing[m]] = computed[m];
             }
@@ -551,7 +560,7 @@ ExperimentDriver::runCells(
         for (std::size_t k = 0; k < group.size(); ++k) {
             std::size_t resume = 0;
             if (resumable)
-                resume = resume_cell(k, shard.trace.size() + 1);
+                resume = resume_cell(k, trace.size() + 1);
             else
                 lane_engines[k] = make_cell_engine(column(k));
             passes[resume].push_back(k);
@@ -637,7 +646,7 @@ ExperimentDriver::runCells(
                     return column(k).engineIndex >= 0;
                 });
             const auto pass_start = std::chrono::steady_clock::now();
-            sim.run(shard.trace);
+            sim.run(trace);
             // One sample per executed pass. Engine passes and pure
             // baseline/stride passes land in separate histograms.
             const auto pass_ns = static_cast<std::uint64_t>(
@@ -688,7 +697,8 @@ ExperimentDriver::runCells(
         if (shard.remainingCells.fetch_sub(1) == 1) {
             // Last cell of this workload: release the trace early so
             // peak memory tracks in-flight workloads, not the suite.
-            Trace().swap(shard.trace);
+            // Borrowed records stay with the workload.
+            Trace().swap(shard.owned);
         }
     };
 
@@ -775,7 +785,7 @@ ExperimentDriver::runCells(
                                  std::memory_order_relaxed);
             // The task owns all of this workload's cells: release
             // the trace as soon as its single pass completes.
-            Trace().swap(shard.trace);
+            Trace().swap(shard.owned);
         };
         try {
             dispatch(batch_shards.size(), run_batch);

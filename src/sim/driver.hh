@@ -5,7 +5,9 @@
  *
  * Compared with the serial ExperimentRunner, the driver
  *  - generates each workload's trace exactly once and shares it
- *    read-only across every engine run over that workload,
+ *    read-only across every engine run over that workload (a
+ *    workload that already holds its records, Workload::recorded,
+ *    is replayed in place without a copy),
  *  - runs the normalization references as ordinary columns
  *    (sweepColumns): the no-prefetch baseline and, under timing, the
  *    stride reference are simulated, checkpointed and result-cached
@@ -268,7 +270,8 @@ class ExperimentDriver
     std::uint64_t batchedRuns() const { return batchedRuns_; }
 
     /** Workload traces actually generated, as opposed to replayed
-     *  from the store (store diagnostics). */
+     *  from the store or borrowed from a workload that holds its
+     *  records (Workload::recorded): a captured-trace run reads 0. */
     std::uint64_t traceGenerations() const
     {
         return traceGenerations_.load();

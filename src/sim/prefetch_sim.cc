@@ -182,26 +182,35 @@ PrefetchSimulator::advance(const MemRecord &r, const DemandOutcome &fe)
                 ++stats_.l2Hits;
         }
     } else {
-        auto svb_entry = svb_ ? svb_->consume(r.vaddr) : std::nullopt;
+        // A hit consumes the SVB entry. It is copied out of the
+        // optional into a plain local, which every path initializes.
+        StreamedValueBuffer::Entry svb_entry;
+        bool svb_hit = false;
+        if (svb_) {
+            if (auto e = svb_->consume(r.vaddr)) {
+                svb_entry = *e;
+                svb_hit = true;
+            }
+        }
         // The demand fill: L2 victim first, then L1 victim.
         l2_dropped();
         l1_removed();
-        if (svb_entry.has_value()) {
+        if (svb_hit) {
             level = AccessLevel::kSvb;
-            ready = static_cast<double>(svb_entry->readyTime);
+            ready = static_cast<double>(svb_entry.readyTime);
             if (r.isRead()) {
                 if (measuring_)
                     ++stats_.svbHits;
                 if (engine_) {
-                    engine_->onPrefetchHit(r.vaddr, svb_entry->streamId);
+                    engine_->onPrefetchHit(r.vaddr, svb_entry.streamId);
                     engine_->onOffChipRead({blockAlign(r.vaddr), r.pc,
                                             missSeq_++, true,
-                                            svb_entry->streamId});
+                                            svb_entry.streamId});
                 }
             } else if (engine_) {
                 // A write consuming a prefetched block still
                 // advances the owning stream.
-                engine_->onPrefetchHit(r.vaddr, svb_entry->streamId);
+                engine_->onPrefetchHit(r.vaddr, svb_entry.streamId);
             }
         } else {
             level = AccessLevel::kMemory;

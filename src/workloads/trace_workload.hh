@@ -34,11 +34,16 @@ class FixedTraceWorkload : public Workload
     WorkloadClass workloadClass() const override { return class_; }
 
     /**
-     * Replay the stored records. `seed` and `target_records` are
-     * ignored: a captured trace has exactly one materialization.
+     * A copy of the stored records. `seed` and `target_records` are
+     * ignored: a captured trace has exactly one materialization. The
+     * ExperimentDriver never calls this; it replays recorded() in
+     * place.
      */
     Trace generate(std::uint64_t seed,
                    std::size_t target_records) const override;
+
+    /** The stored records, replayed without a copy. */
+    const Trace *recorded() const override { return &trace_; }
 
     /** The underlying records (without copying). */
     const Trace &trace() const { return trace_; }

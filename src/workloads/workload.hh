@@ -62,6 +62,14 @@ class Workload
      */
     virtual Trace generate(std::uint64_t seed,
                            std::size_t target_records) const = 0;
+
+    /**
+     * Records this workload already holds, for a driver to replay in
+     * place instead of copying them out of generate(); null (the
+     * default) for a generator. The records must stay unchanged and
+     * alive while a run over the workload is in progress.
+     */
+    virtual const Trace *recorded() const { return nullptr; }
 };
 
 /** Human-readable label for a workload class. */

@@ -199,8 +199,8 @@ TEST(StemsAgtTest, OpenAccumulateEnd)
 {
     StemsAgt agt;
     std::vector<StemsGeneration> ended;
-    agt.setEndCallback(
-        [&](const StemsGeneration &g) { ended.push_back(g); });
+    auto on_end = [&](const StemsGeneration &g) { ended.push_back(g); };
+    agt.setEndCallback(on_end);
 
     Addr region = 0x40000;
     StemsGeneration &g = agt.open(region);
@@ -225,7 +225,8 @@ TEST(StemsAgtTest, CapacityEvictionEndsVictim)
     p.entries = 2;
     StemsAgt agt(p);
     int ended = 0;
-    agt.setEndCallback([&](const StemsGeneration &) { ++ended; });
+    auto on_end = [&](const StemsGeneration &) { ++ended; };
+    agt.setEndCallback(on_end);
     agt.open(0x10000).mask = 1;
     agt.open(0x20000).mask = 1;
     agt.open(0x30000).mask = 1; // evicts one of the first two

@@ -5,7 +5,8 @@
  * ExperimentRunner reference, batched-vs-unbatched execution
  * identity (including mixed warm/cold batches over a persistent
  * store and anonymous-probe cells), baseline caching, engine
- * overrides, probes, and the forEachTrace analysis path.
+ * overrides, probes, in-place replay of a workload's own records,
+ * and the forEachTrace analysis path.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "store/trace_store.hh"
 #include "test_util.hh"
 #include "workloads/registry.hh"
+#include "workloads/trace_workload.hh"
 
 namespace stems {
 namespace {
@@ -324,6 +326,109 @@ TEST(Driver, ScientificLookaheadAppliedPerWorkloadClass)
     ASSERT_EQ(results.size(), 1u);
     expectSameStats(reference.find("tms")->stats,
                     results[0].find("tms")->stats);
+}
+
+/**
+ * Generates the records it was given on every call, as a synthetic
+ * generator would, so the driver materializes them into the shard:
+ * the reference for a FixedTraceWorkload replayed in place.
+ */
+class RegeneratedTrace : public Workload
+{
+  public:
+    explicit RegeneratedTrace(const FixedTraceWorkload &source)
+        : source_(source)
+    {
+    }
+    std::string name() const override { return source_.name(); }
+    WorkloadClass
+    workloadClass() const override
+    {
+        return source_.workloadClass();
+    }
+    Trace
+    generate(std::uint64_t, std::size_t) const override
+    {
+        return source_.trace();
+    }
+
+  private:
+    const FixedTraceWorkload &source_;
+};
+
+class BorrowedReplayTest : public test::TempDirTest
+{
+  protected:
+    BorrowedReplayTest()
+        : captured_("captured",
+                    makeWorkload("oltp-db2")->generate(42, 30000)),
+          generated_(captured_)
+    {
+    }
+
+    /** One driver under `plan`, over a fresh store when `store` names
+     *  one, runs `workload` `runs` times; every result must match the
+     *  first, and the captured records must be left where they were. */
+    std::vector<WorkloadResult>
+    replay(const SweepPlan &plan, const Workload &workload, int runs,
+           const std::string &store = "")
+    {
+        const MemRecord *data = captured_.trace().data();
+        const std::size_t size = captured_.trace().size();
+        ExperimentDriver driver;
+        driver.applyPlan(plan);
+        if (!store.empty())
+            driver.setStore(std::make_shared<TraceStore>(store));
+        std::vector<WorkloadResult> results;
+        for (int i = 0; i < runs; ++i)
+            results.push_back(
+                driver.runWorkload(workload, engineSpecs(kEngines)));
+        for (int i = 1; i < runs; ++i)
+            expectSameResults({results[0]}, {results[i]});
+        generations_ = driver.traceGenerations();
+        resumed_ = driver.resumedRuns();
+        EXPECT_EQ(captured_.trace().data(), data);
+        EXPECT_EQ(captured_.trace().size(), size);
+        return results;
+    }
+
+    FixedTraceWorkload captured_;
+    RegeneratedTrace generated_;
+    std::uint64_t generations_ = 0;
+    std::uint64_t resumed_ = 0;
+};
+
+TEST_F(BorrowedReplayTest, InPlaceReplayMatchesGeneratedRecords)
+{
+    // Batched and unbatched, a FixedTraceWorkload's records are
+    // replayed where they lie: bitwise the results of a workload
+    // that generates the same records, with no generation counted,
+    // and repeatable on one driver.
+    for (bool batch : {true, false}) {
+        SCOPED_TRACE(batch ? "batched" : "unbatched");
+        SweepPlan plan = test::configPlan(smallConfig(true), 2);
+        plan.batch = batch;
+        auto expected = replay(plan, generated_, 1);
+        EXPECT_EQ(generations_, 1u);
+        auto borrowed = replay(plan, captured_, 2);
+        EXPECT_EQ(generations_, 0u);
+        expectSameResults(expected, {borrowed[0]});
+    }
+}
+
+TEST_F(BorrowedReplayTest, InPlaceReplayCheckpointsAndResumes)
+{
+    // A checkpointing store: the first borrowed run writes
+    // checkpoints over the captured records, the second resumes from
+    // them. Both match a generating workload over its own store.
+    SweepPlan plan = test::configPlan(smallConfig(true), 2);
+    plan.checkpointEvery = 7500;
+    auto expected = replay(plan, generated_, 1, dir_ + "/generated");
+    EXPECT_EQ(resumed_, 0u);
+    auto borrowed = replay(plan, captured_, 2, dir_ + "/captured");
+    EXPECT_EQ(generations_, 0u);
+    EXPECT_GT(resumed_, 0u);
+    expectSameResults(expected, {borrowed[0]});
 }
 
 } // namespace
